@@ -12,7 +12,6 @@ from .estimation import (
     RegressionSpec,
     fit_within_dk,
     newey_west_auto_bandwidth,
-    pooled_ols,
 )
 from .model import (
     PAPER_PRESET,
@@ -91,7 +90,6 @@ __all__ = [
     "newey_west_auto_bandwidth",
     "nsfr_to_ltd_delta",
     "phase_in_scenario",
-    "pooled_ols",
     "propagate_shock",
     "required_deltas",
     "simulate_panel",

@@ -18,6 +18,7 @@ flags only, for reproducibility.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -27,6 +28,7 @@ from . import __version__
 from .errors import DataError, EstimationError
 from .estimation import RegressionSpec, fit_within_dk
 from .model import (
+    EQUATIONS,
     ScenarioInput,
     fit_system,
     phase_in_scenario,
@@ -48,23 +50,25 @@ from .ratios import (
 )
 from .unitroot import harris_tzavalis
 
-MODEL_EQUATIONS = {
-    "spread": ("spread", ("liq", "cap")),
-    "lending": ("lending", ("gdp", "spread")),
-    "roe": ("roe", ("lgdp", "liq", "cap")),
-}
 
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _render(args, payload, text: str, table=None) -> int:
+    """Write `payload` as JSON, `text`, or `table` (headers, rows) as CSV, as
+    --format asks, to --out or stdout."""
+    if args.format == "json":
+        body = json.dumps(payload, indent=2, sort_keys=True)
+    elif args.format == "text":
+        body = text
+    elif table is not None:
+        headers, rows = table
+        body = "\n".join([",".join(headers)] + [",".join(row) for row in rows])
     else:
-        print(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+        raise DataError("this output has no flat table; use --format text or json")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(body if body.endswith("\n") else body + "\n")
+    else:
+        print(body)
+    return 0
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -75,12 +79,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     fmt = "  ".join(f"{{:>{w}}}" for w in widths)
     lines = [fmt.format(*headers), fmt.format(*("-" * w for w in widths))]
     lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines)
-
-
-def _csv_text(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [",".join(headers)]
-    lines += [",".join(row) for row in rows]
     return "\n".join(lines)
 
 
@@ -110,39 +108,10 @@ def cmd_ratios(args) -> int:
         + ([f"{r['tce_rwa']:.5f}"] if args.tce else [])
         for r in rows
     ]
-    if args.format == "json":
-        _emit(_json_text({"rows": rows}), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(headers, str_rows), args.out)
-    else:
-        _emit(_table(headers, str_rows), args.out)
-    return 0
+    return _render(args, {"rows": rows}, _table(headers, str_rows), (headers, str_rows))
 
 
 # -- phasein -------------------------------------------------------------------
-
-
-def _schedule_payload() -> list[dict]:
-    payload = []
-    for req in BANGLADESH_SCHEDULE.years:
-        payload.append(
-            {
-                "year": req.year,
-                "min_cet1_pct": req.min_cet1_pct,
-                "conservation_buffer_pct": req.conservation_buffer_pct,
-                "cet1_plus_buffer_pct": req.cet1_plus_buffer_pct,
-                "min_tier1_pct": req.min_tier1_pct,
-                "min_total_pct": req.min_total_pct,
-                "total_plus_buffer_pct": req.total_plus_buffer_pct,
-                "cet1_deduction_phase_pct": req.cet1_deduction_phase_pct,
-                "rr_deduction_phase_pct": req.rr_deduction_phase_pct,
-                "leverage_min_pct": req.leverage_min_pct,
-                "leverage_note": req.leverage_note,
-                "lcr_min_pct": req.lcr_min_pct,
-                "nsfr_min": req.nsfr_min,
-            }
-        )
-    return payload
 
 
 def _parse_year_range(text: str) -> tuple[int, int]:
@@ -157,56 +126,45 @@ def cmd_phasein(args) -> int:
     if args.deltas:
         frm, to = _parse_year_range(args.deltas)
         deltas = required_deltas(frm, to)
-        if args.format == "json":
-            _emit(_json_text({"from_year": frm, "to_year": to, "deltas": deltas}), args.out)
-        else:
-            rows = [[k, f"{v:+.4g}"] for k, v in deltas.items()]
-            _emit(_table(["requirement", "delta"], rows), args.out)
-        return 0
+        table = (["requirement", "delta"], [[k, f"{v:+.4g}"] for k, v in deltas.items()])
+        payload = {"from_year": frm, "to_year": to, "deltas": deltas}
+        return _render(args, payload, _table(*table), table)
 
     if args.positions:
         reports = [check_compliance(p) for p in load_positions(args.positions)]
-        if args.format == "json":
-            _emit(_json_text({"reports": [r.to_dict() for r in reports]}), args.out)
-        else:
-            blocks = []
-            for r in reports:
-                rows = [
-                    [
-                        c.name,
-                        f"{c.required:.4g}",
-                        f"{c.actual:.4g}",
-                        f"{c.shortfall:.4g}",
-                        ("advisory" if c.advisory else ("pass" if c.passed else "FAIL")),
-                    ]
-                    for c in r.checks
+        blocks = []
+        for r in reports:
+            rows = [
+                [
+                    c.name,
+                    f"{c.required:.4g}",
+                    f"{c.actual:.4g}",
+                    f"{c.shortfall:.4g}",
+                    ("advisory" if c.advisory else ("pass" if c.passed else "FAIL")),
                 ]
-                head = (
-                    f"{r.entity} {r.year}"
-                    + (f" (steady state: {r.schedule_year} rules)" if r.steady_state else "")
-                    + f" -> {'PASS' if r.overall_pass else 'FAIL'}"
-                )
-                blocks.append(
-                    head + "\n" + _table(["requirement", "required", "actual",
-                                          "shortfall", "status"], rows)
-                )
-            _emit("\n\n".join(blocks), args.out)
-        return 0
+                for c in r.checks
+            ]
+            head = (
+                f"{r.entity} {r.year}"
+                + (f" (steady state: {r.schedule_year} rules)" if r.steady_state else "")
+                + f" -> {'PASS' if r.overall_pass else 'FAIL'}"
+            )
+            blocks.append(
+                head + "\n" + _table(["requirement", "required", "actual",
+                                      "shortfall", "status"], rows)
+            )
+        payload = {"reports": [r.to_dict() for r in reports]}
+        return _render(args, payload, "\n\n".join(blocks))
 
-    payload = _schedule_payload()
-    if args.format == "json":
-        _emit(_json_text({"schedule": payload}), args.out)
-        return 0
-    headers = ["year"] + [f for f in REQUIREMENT_FIELDS] + ["cet1_deduction_phase_pct",
-                                                            "rr_deduction_phase_pct"]
-    rows = [
-        [str(p["year"])]
-        + [f"{p[f]:g}" for f in REQUIREMENT_FIELDS]
-        + [f"{p['cet1_deduction_phase_pct']:g}", f"{p['rr_deduction_phase_pct']:g}"]
-        for p in payload
+    schedule = [
+        {k: v for k, v in dataclasses.asdict(req).items()
+         if not k.endswith("_from_september")}
+        for req in BANGLADESH_SCHEDULE.years
     ]
-    _emit(_table(headers, rows), args.out)
-    return 0
+    headers = ["year", *REQUIREMENT_FIELDS, "cet1_deduction_phase_pct",
+               "rr_deduction_phase_pct"]
+    rows = [[str(p["year"])] + [f"{p[f]:g}" for f in headers[1:]] for p in schedule]
+    return _render(args, {"schedule": schedule}, _table(headers, rows), (headers, rows))
 
 
 # -- unitroot ------------------------------------------------------------------
@@ -218,19 +176,16 @@ def cmd_unitroot(args) -> int:
     if not names:
         raise DataError("no variables requested; pass --vars a,b,c")
     results = [harris_tzavalis(ds, name) for name in names]
-    if args.format == "json":
-        _emit(_json_text({"results": [r.to_dict() for r in results]}), args.out)
-    else:
-        rows = [
-            [r.variable, f"{r.rho_hat:.4f}", f"{r.z_stat:.4f}", f"{r.p_value:.4f}"]
-            for r in results
-        ]
-        table = _table(["variable", "rho", "z", "p_value"], rows)
-        note = (f"H0: unit root; small p favours stationarity "
-                f"({results[0].case}, N={results[0].n_entities}, "
-                f"T={results[0].n_periods})")
-        _emit(table + "\n" + note, args.out)
-    return 0
+    table = (
+        ["variable", "rho", "z", "p_value"],
+        [[r.variable, f"{r.rho_hat:.4f}", f"{r.z_stat:.4f}", f"{r.p_value:.4f}"]
+         for r in results],
+    )
+    note = (f"H0: unit root; small p favours stationarity "
+            f"({results[0].case}, N={results[0].n_entities}, "
+            f"T={results[0].n_periods})")
+    payload = {"results": [r.to_dict() for r in results]}
+    return _render(args, payload, _table(*table) + "\n" + note, table)
 
 
 # -- fit -----------------------------------------------------------------------
@@ -254,25 +209,15 @@ def cmd_fit(args) -> int:
     if args.model == "all":
         lags = _resolve_lags(args.dk_lags, default=0)
         system = fit_system(ds, dk_bandwidth=lags, small_sample=small_sample)
-        if args.coeffs_out and system.coefficients is not None:
+        if args.coeffs_out:
             system.coefficients.to_json(args.coeffs_out)
+        fits = {eq: fit for (eq, _), fit in zip(EQUATIONS, system.fits)}
         payload = {
             "coefficients": system.coefficients.to_dict(),
-            "equations": {
-                "spread": system.spread_fit.to_dict(),
-                "lending": system.lending_fit.to_dict(),
-                "roe": system.roe_fit.to_dict(),
-            },
+            "equations": {eq: fit.to_dict() for eq, fit in fits.items()},
         }
-        if args.format == "json":
-            _emit(_json_text(payload), args.out)
-        else:
-            blocks = [
-                f"== {name} ==\n{fit.summary()}"
-                for name, fit in zip(("spread", "lending", "roe"), system.fits)
-            ]
-            _emit("\n\n".join(blocks), args.out)
-        return 0
+        text = "\n\n".join(f"== {eq} ==\n{fit.summary()}" for eq, fit in fits.items())
+        return _render(args, payload, text)
 
     if args.model == "custom":
         if not args.dep or not args.regressors:
@@ -280,7 +225,7 @@ def cmd_fit(args) -> int:
         dep = args.dep
         regs = tuple(r.strip() for r in args.regressors.split(",") if r.strip())
     else:
-        dep, regs = MODEL_EQUATIONS[args.model]
+        dep, regs = args.model, dict(EQUATIONS)[args.model]
 
     spec = RegressionSpec(
         dependent=dep,
@@ -291,11 +236,8 @@ def cmd_fit(args) -> int:
         small_sample=small_sample,
     )
     fit = fit_within_dk(ds, spec)
-    if args.format == "json":
-        _emit(_json_text({"model": args.model, "fit": fit.to_dict()}), args.out)
-    else:
-        _emit(f"== {args.model}: {dep} ~ {' + '.join(regs)} ==\n{fit.summary()}", args.out)
-    return 0
+    return _render(args, {"model": args.model, "fit": fit.to_dict()},
+                   f"== {args.model}: {dep} ~ {' + '.join(regs)} ==\n{fit.summary()}")
 
 
 # -- simulate ------------------------------------------------------------------
@@ -318,33 +260,13 @@ def cmd_simulate(args) -> int:
         series = phase_in_scenario(
             coeffs, BANGLADESH_SCHEDULE, frm, to, delta_liq_per_year=args.phase_liq
         )
-        if args.format == "json":
-            _emit(_json_text(series.to_dict()), args.out)
-        elif args.format == "csv":
-            rows = [
-                [str(y), repr(r.delta_spread), repr(r.delta_lending), repr(r.delta_roe)]
-                for y, r in series.steps
-            ]
-            rows.append(
-                ["cumulative", repr(series.cumulative.delta_spread),
-                 repr(series.cumulative.delta_lending), repr(series.cumulative.delta_roe)]
-            )
-            _emit(_csv_text(["year", "delta_spread", "delta_lending", "delta_roe"], rows),
-                  args.out)
-        else:
-            rows = [
-                [str(y), f"{r.delta_spread:.4g}", f"{r.delta_lending:.4g}",
-                 f"{r.delta_roe:.4g}"]
-                for y, r in series.steps
-            ]
-            rows.append(
-                ["cumulative", f"{series.cumulative.delta_spread:.4g}",
-                 f"{series.cumulative.delta_lending:.4g}",
-                 f"{series.cumulative.delta_roe:.4g}"]
-            )
-            table = _table(["year", "d_spread", "d_lending", "d_roe"], rows)
-            _emit(table + "\n" + _units_note(), args.out)
-        return 0
+        results = [*series.steps, ("cumulative", series.cumulative)]
+        fields = ("delta_spread", "delta_lending", "delta_roe")
+        text_rows = [[str(y)] + [f"{getattr(r, f):.4g}" for f in fields] for y, r in results]
+        csv_rows = [[str(y)] + [repr(getattr(r, f)) for f in fields] for y, r in results]
+        text = _table(["year", "d_spread", "d_lending", "d_roe"], text_rows)
+        return _render(args, series.to_dict(), text + "\n" + _units_note(),
+                       (["year", *fields], csv_rows))
 
     shock = ScenarioInput(
         delta_cap=args.dcap,
@@ -353,33 +275,22 @@ def cmd_simulate(args) -> int:
         delta_lgdp=args.dlgdp,
     )
     result = propagate_shock(coeffs, shock)
-    if args.format == "json":
-        _emit(_json_text(result.to_dict()), args.out)
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ["delta_spread", "delta_lending", "delta_lgdp", "delta_roe"],
-                [[repr(result.delta_spread), repr(result.delta_lending),
-                  repr(result.delta_lgdp), repr(result.delta_roe)]],
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"shock: d_liq={args.dliq:+.4g} pp, d_cap={args.dcap:+.4g} pp "
-            f"({args.mode}, coefficients: {result.provenance})"
-        ]
-        for step in result.trace:
-            terms = ", ".join(f"{k} = {v:+.6g}" for k, v in step["terms"].items())
-            lines.append(f"  {step['step']:<15} {step['formula']}")
-            lines.append(f"  {'':<15} {terms}  ->  {step['value']:+.6g}")
-        lines.append(
-            f"result: d_spread={result.delta_spread:+.4g} pp, "
-            f"d_lending={result.delta_lending:+.4g}%, d_roe={result.delta_roe:+.4g}%"
-        )
-        lines.append(_units_note())
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = [
+        f"shock: d_liq={args.dliq:+.4g} pp, d_cap={args.dcap:+.4g} pp "
+        f"({args.mode}, coefficients: {result.provenance})"
+    ]
+    for step in result.trace:
+        terms = ", ".join(f"{k} = {v:+.6g}" for k, v in step["terms"].items())
+        lines.append(f"  {step['step']:<15} {step['formula']}")
+        lines.append(f"  {'':<15} {terms}  ->  {step['value']:+.6g}")
+    lines.append(
+        f"result: d_spread={result.delta_spread:+.4g} pp, "
+        f"d_lending={result.delta_lending:+.4g}%, d_roe={result.delta_roe:+.4g}%"
+    )
+    lines.append(_units_note())
+    fields = ("delta_spread", "delta_lending", "delta_lgdp", "delta_roe")
+    table = (list(fields), [[repr(getattr(result, f)) for f in fields]])
+    return _render(args, result.to_dict(), "\n".join(lines), table)
 
 
 def _units_note() -> str:
@@ -399,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def add_common(p, formats=("text", "json", "csv")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("ratios", help="NSFR and TCE/RWA per bank-year")
@@ -429,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", required=True, help="wide panel CSV")
     p.add_argument("--schema", help="JSON schema of declared variables")
     p.add_argument("--model", required=True,
-                   choices=("spread", "lending", "roe", "all", "custom"))
+                   choices=(*(eq for eq, _ in EQUATIONS), "all", "custom"))
     p.add_argument("--dep", help="dependent variable (custom model)")
     p.add_argument("--regressors", help="comma-separated regressors (custom model)")
     p.add_argument("--dk-lags", help="'auto' or lag count (default: auto; 0 for --model all)")
@@ -437,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain-cov", action="store_true",
                    help="textbook DK covariance without small-sample adjustment")
     p.add_argument("--coeffs-out", help="write the fitted CoefficientSet JSON (model=all)")
-    add_common(p)
+    add_common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="shock scenarios and synthetic panels")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .errors import DataError, EstimationError
 from .panel import PanelDataset
@@ -382,7 +382,7 @@ def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> Fi
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
     if df >= 1:
-        pvals = 2.0 * t_dist.sf(np.abs(tstat), df)
+        pvals = 2.0 * stdtr(df, -np.abs(tstat))
     else:
         pvals = np.full(kz, np.nan)
     r2 = 1.0 - ssr / tss if tss > 0 else math.nan
@@ -422,7 +422,3 @@ def fit_within_dk(ds: PanelDataset, spec: RegressionSpec) -> FitResult:
     """
     return _fit_core(ds, spec, fixed_effects=spec.fixed_effects)
 
-
-def pooled_ols(ds: PanelDataset, spec: RegressionSpec) -> FitResult:
-    """Pooled OLS (no entity demeaning) with conventional or DK covariance."""
-    return _fit_core(ds, spec, fixed_effects=False)

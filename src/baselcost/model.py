@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
 
 import numpy as np
 
@@ -42,9 +43,29 @@ SCENARIO_MODES = ("chained", "exogenous")
 PROVENANCES = ("paper-preset", "fitted", "user")
 
 
+# The three long-run equations: dependent column and regressors, in the order
+# the scenario chain evaluates them. Every equation also has an intercept,
+# "const". CoefficientSet fields, fit_system's regressions, the CLI's --model
+# choices and propagate_shock's steps are all derived from this table.
+EQUATIONS = (
+    ("spread", ("liq", "cap")),
+    ("lending", ("gdp", "spread")),
+    ("roe", ("lgdp", "liq", "cap")),
+)
+
+# (equation, term, CoefficientSet field) for every coefficient, in field order.
+_COEFFICIENTS = tuple(
+    (eq, term, f"{eq}_{term}") for eq, regs in EQUATIONS for term in ("const", *regs)
+)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of the three long-run equations plus their provenance."""
+    """Coefficients of the three long-run equations plus their provenance.
+
+    Field `<equation>_<term>` holds the coefficient of `term` in `equation`
+    of EQUATIONS; the field order follows the table.
+    """
 
     spread_const: float
     spread_liq: float
@@ -59,11 +80,7 @@ class CoefficientSet:
     provenance: str = "user"
 
     def __post_init__(self) -> None:
-        for name in (
-            "spread_const", "spread_liq", "spread_cap",
-            "lending_const", "lending_gdp", "lending_spread",
-            "roe_const", "roe_lgdp", "roe_liq", "roe_cap",
-        ):
+        for _, _, name in _COEFFICIENTS:
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"coefficient {name} must be finite")
         if self.provenance not in PROVENANCES:
@@ -72,40 +89,17 @@ class CoefficientSet:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "spread": {
-                "const": self.spread_const,
-                "liq": self.spread_liq,
-                "cap": self.spread_cap,
-            },
-            "lending": {
-                "const": self.lending_const,
-                "gdp": self.lending_gdp,
-                "spread": self.lending_spread,
-            },
-            "roe": {
-                "const": self.roe_const,
-                "lgdp": self.roe_lgdp,
-                "liq": self.roe_liq,
-                "cap": self.roe_cap,
-            },
-            "provenance": self.provenance,
-        }
+        out: dict = {eq: {} for eq, _ in EQUATIONS}
+        for eq, term, name in _COEFFICIENTS:
+            out[eq][term] = getattr(self, name)
+        out["provenance"] = self.provenance
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CoefficientSet":
         try:
             return cls(
-                spread_const=float(raw["spread"]["const"]),
-                spread_liq=float(raw["spread"]["liq"]),
-                spread_cap=float(raw["spread"]["cap"]),
-                lending_const=float(raw["lending"]["const"]),
-                lending_gdp=float(raw["lending"]["gdp"]),
-                lending_spread=float(raw["lending"]["spread"]),
-                roe_const=float(raw["roe"]["const"]),
-                roe_lgdp=float(raw["roe"]["lgdp"]),
-                roe_liq=float(raw["roe"]["liq"]),
-                roe_cap=float(raw["roe"]["cap"]),
+                **{name: float(raw[eq][term]) for eq, term, name in _COEFFICIENTS},
                 provenance=raw.get("provenance", "user"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -199,58 +193,50 @@ class ScenarioResult:
         }
 
 
+# Per equation: trace formula and (coefficient field, trace key, driver) for
+# each term. GDP is held fixed in scenarios, so gdp terms drop out.
+_SCENARIO_STEPS = tuple(
+    (
+        eq,
+        f"d_{eq} = " + " + ".join(f"{eq}_{t}*d_{t}" for t in regs if t != "gdp")
+        + (" (GDP held fixed)" if "gdp" in regs else ""),
+        tuple((f"{eq}_{t}", f"{eq}_{t}*d_{t}", t) for t in regs if t != "gdp"),
+    )
+    for eq, regs in EQUATIONS
+)
+
+
 def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioResult:
-    """Chain a capital/liquidity shock through the three equations."""
-    d_spread = coeffs.spread_liq * shock.delta_liq + coeffs.spread_cap * shock.delta_cap
-    d_lending = coeffs.lending_spread * d_spread
-    d_lgdp = d_lending if shock.mode == "chained" else float(shock.delta_lgdp)
-    d_roe = (
-        coeffs.roe_lgdp * d_lgdp
-        + coeffs.roe_liq * shock.delta_liq
-        + coeffs.roe_cap * shock.delta_cap
-    )
-    trace = (
-        {
-            "step": "spread",
-            "formula": "d_spread = spread_liq*d_liq + spread_cap*d_cap",
-            "terms": {
-                "spread_liq*d_liq": coeffs.spread_liq * shock.delta_liq,
-                "spread_cap*d_cap": coeffs.spread_cap * shock.delta_cap,
-            },
-            "value": d_spread,
-        },
-        {
-            "step": "lending",
-            "formula": "d_lending = lending_spread*d_spread (GDP held fixed)",
-            "terms": {"lending_spread*d_spread": d_lending},
-            "value": d_lending,
-        },
-        {
-            "step": "lending_to_gdp",
-            "formula": (
-                "d_lgdp = d_lending" if shock.mode == "chained" else "d_lgdp exogenous"
-            ),
-            "terms": {"d_lgdp": d_lgdp},
-            "value": d_lgdp,
-        },
-        {
-            "step": "roe",
-            "formula": "d_roe = roe_lgdp*d_lgdp + roe_liq*d_liq + roe_cap*d_cap",
-            "terms": {
-                "roe_lgdp*d_lgdp": coeffs.roe_lgdp * d_lgdp,
-                "roe_liq*d_liq": coeffs.roe_liq * shock.delta_liq,
-                "roe_cap*d_cap": coeffs.roe_cap * shock.delta_cap,
-            },
-            "value": d_roe,
-        },
-    )
+    """Chain a capital/liquidity shock through the equations in table order.
+
+    Each response is the sum of coefficient times driver response over the
+    equation's regressors, GDP held fixed. The lending-to-GDP response is the
+    lending response in chained mode and the caller's delta_lgdp in exogenous
+    mode.
+    """
+    d = {"liq": shock.delta_liq, "cap": shock.delta_cap}
+    trace = []
+    for eq, formula, terms in _SCENARIO_STEPS:
+        values = {key: getattr(coeffs, field) * d[driver] for field, key, driver in terms}
+        # reduce starts from the first term: adding to 0.0 would turn -0.0 into 0.0
+        d[eq] = reduce(operator.add, values.values())
+        trace.append({"step": eq, "formula": formula, "terms": values, "value": d[eq]})
+        if eq == "lending":
+            chained = shock.mode == "chained"
+            d["lgdp"] = d["lending"] if chained else float(shock.delta_lgdp)
+            trace.append({
+                "step": "lending_to_gdp",
+                "formula": "d_lgdp = d_lending" if chained else "d_lgdp exogenous",
+                "terms": {"d_lgdp": d["lgdp"]},
+                "value": d["lgdp"],
+            })
     return ScenarioResult(
-        delta_spread=d_spread,
-        delta_lending=d_lending,
-        delta_lgdp=d_lgdp,
-        delta_roe=d_roe,
+        delta_spread=d["spread"],
+        delta_lending=d["lending"],
+        delta_lgdp=d["lgdp"],
+        delta_roe=d["roe"],
         provenance=coeffs.provenance,
-        trace=trace,
+        trace=tuple(trace),
     )
 
 
@@ -345,44 +331,19 @@ def simulate_panel(
     liq = 0.10 + rng.normal(0.0, 0.25, (nb, 1)) + rng.normal(0.0, 0.15, (nb, ny))
     cap = -2.30 + rng.normal(0.0, 0.25, (nb, 1)) + rng.normal(0.0, 0.15, (nb, ny))
 
-    def entity_effects() -> np.ndarray:
-        a = rng.normal(0.0, noise_sd, (nb, 1))
-        return a - a.mean()
-
-    spread = (
-        coeffs.spread_const
-        + coeffs.spread_liq * liq
-        + coeffs.spread_cap * cap
-        + entity_effects()
-        + rng.normal(0.0, noise_sd, (nb, ny))
-    )
-    lending = (
-        coeffs.lending_const
-        + coeffs.lending_gdp * gdp
-        + coeffs.lending_spread * spread
-        + entity_effects()
-        + rng.normal(0.0, noise_sd, (nb, ny))
-    )
-    lgdp = lending - gdp
-    roe = (
-        coeffs.roe_const
-        + coeffs.roe_lgdp * lgdp
-        + coeffs.roe_liq * liq
-        + coeffs.roe_cap * cap
-        + entity_effects()
-        + rng.normal(0.0, noise_sd, (nb, ny))
-    )
+    cols = {"liq": liq, "cap": cap, "gdp": gdp}
+    for eq, regs in EQUATIONS:
+        y = getattr(coeffs, f"{eq}_const")
+        for term in regs:
+            y = y + getattr(coeffs, f"{eq}_{term}") * cols[term]
+        effects = rng.normal(0.0, noise_sd, (nb, 1))
+        cols[eq] = y + (effects - effects.mean()) + rng.normal(0.0, noise_sd, (nb, ny))
+        if eq == "lending":
+            cols["lgdp"] = cols["lending"] - gdp
 
     entities = tuple(f"B{i + 1:02d}" for i in range(nb))
     periods = tuple(range(first_year, first_year + ny))
-    return PanelDataset(
-        entities,
-        periods,
-        {
-            "liq": liq, "cap": cap, "gdp": gdp,
-            "spread": spread, "lending": lending, "lgdp": lgdp, "roe": roe,
-        },
-    )
+    return PanelDataset(entities, periods, cols)
 
 
 @dataclass(frozen=True)
@@ -419,44 +380,32 @@ def fit_system(
     """
     if roe_form not in ("estimated", "levels"):
         raise DataError(f"roe_form must be 'estimated' or 'levels', got {roe_form!r}")
-    needed = SYSTEM_COLUMNS if roe_form == "estimated" else tuple(
-        c for c in SYSTEM_COLUMNS if c != "lgdp"
-    )
-    missing = [c for c in needed if c not in ds.columns]
+    equations = dict(EQUATIONS)
+    if roe_form == "levels":
+        equations["roe"] = ("lending", "spread")
+    used = {c for eq, regs in equations.items() for c in (eq, *regs)}
+    missing = [c for c in SYSTEM_COLUMNS if c in used and c not in ds.columns]
     if missing:
         raise DataError(f"dataset lacks system column(s) {missing}; apply transforms first")
 
-    def make_spec(dep: str, regs: Sequence[str]) -> RegressionSpec:
-        return RegressionSpec(
-            dependent=dep,
-            regressors=tuple(regs),
+    fits = {
+        eq: fit_within_dk(ds, RegressionSpec(
+            dependent=eq,
+            regressors=regs,
             include_intercept=True,
             fixed_effects=True,
             dk_bandwidth=dk_bandwidth,
             small_sample=small_sample,
+        ))
+        for eq, regs in equations.items()
+    }
+    coeffs = None
+    if roe_form == "estimated":
+        coeffs = CoefficientSet(
+            **{name: fits[eq].coef(term) for eq, term, name in _COEFFICIENTS},
+            provenance="fitted",
         )
-
-    spread_fit = fit_within_dk(ds, make_spec("spread", ("liq", "cap")))
-    lending_fit = fit_within_dk(ds, make_spec("lending", ("gdp", "spread")))
-    if roe_form == "levels":
-        roe_fit = fit_within_dk(ds, make_spec("roe", ("lending", "spread")))
-        return SystemFit(None, spread_fit, lending_fit, roe_fit)
-
-    roe_fit = fit_within_dk(ds, make_spec("roe", ("lgdp", "liq", "cap")))
-    coeffs = CoefficientSet(
-        spread_const=spread_fit.coef("const"),
-        spread_liq=spread_fit.coef("liq"),
-        spread_cap=spread_fit.coef("cap"),
-        lending_const=lending_fit.coef("const"),
-        lending_gdp=lending_fit.coef("gdp"),
-        lending_spread=lending_fit.coef("spread"),
-        roe_const=roe_fit.coef("const"),
-        roe_lgdp=roe_fit.coef("lgdp"),
-        roe_liq=roe_fit.coef("liq"),
-        roe_cap=roe_fit.coef("cap"),
-        provenance="fitted",
-    )
-    return SystemFit(coeffs, spread_fit, lending_fit, roe_fit)
+    return SystemFit(coeffs, *fits.values())
 
 
 def resolve_coefficients(source: str) -> CoefficientSet:

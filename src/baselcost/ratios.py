@@ -86,24 +86,32 @@ class NsfrWeights:
 
     @classmethod
     def from_json(cls, path: str) -> "NsfrWeights":
-        """Load an override file: {"asf": {...}, "rsf": {...}} keyed as below."""
+        """Load an override file {"asf": {key: w}, "rsf": {key: w}}.
+
+        Weight `key` of group `asf` or `rsf` sets field `<group>_<key>`;
+        weights the file leaves out keep their defaults. An unknown group
+        or key is an error.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read weights file {path}: {exc}") from exc
-        asf = raw.get("asf", {})
-        rsf = raw.get("rsf", {})
+        if not isinstance(raw, dict):
+            raise DataError(f"malformed weights file {path}: expected a JSON object")
+        names = {f.name for f in fields(cls)}
+        overrides = {}
+        for group, block in raw.items():
+            if group not in ("asf", "rsf"):
+                raise DataError(f"weights file {path}: unknown group {group!r}")
+            if not isinstance(block, dict):
+                raise DataError(f"weights file {path}: {group} must be a JSON object")
+            for key, w in block.items():
+                if f"{group}_{key}" not in names:
+                    raise DataError(f"weights file {path}: unknown {group} weight {key!r}")
+                overrides[f"{group}_{key}"] = w
         try:
-            return cls(
-                asf_ge_1y=asf.get("ge_1y", 1.00),
-                asf_stable_deposits=asf.get("stable_deposits", 0.85),
-                asf_less_stable_deposits=asf.get("less_stable_deposits", 0.70),
-                rsf_govt_debt=rsf.get("govt_debt", 0.05),
-                rsf_corp_loans=rsf.get("corp_loans", 0.50),
-                rsf_retail_loans=rsf.get("retail_loans", 0.85),
-                rsf_other_assets=rsf.get("other_assets", 1.00),
-            )
+            return cls(**overrides)
         except TypeError as exc:
             raise DataError(f"malformed weights file {path}: {exc}") from exc
 

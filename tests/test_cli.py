@@ -77,6 +77,17 @@ class TestRatios:
         out = capsys.readouterr().out
         assert "0.75000" in out  # 450/600 under unit weights
 
+    def test_unknown_weight_key_exits_2(self, worked_csv, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"asf": {"stable_deposit": 1.0}}))
+        assert main(["ratios", "--balance-sheets", worked_csv,
+                     "--weights", str(w), "--no-tce"]) == 2
+        assert "stable_deposit" in capsys.readouterr().err
+        w.write_text(json.dumps({"asf": {"stable_deposits": 1.0}}))
+        assert main(["ratios", "--balance-sheets", worked_csv,
+                     "--weights", str(w), "--no-tce"]) == 0
+        assert "1.23529" in capsys.readouterr().out  # 420/340, other weights default
+
     def test_json_format_round_trips(self, worked_csv, capsys):
         assert main(["ratios", "--balance-sheets", worked_csv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -108,6 +119,26 @@ class TestPhasein:
     def test_bad_deltas_range_exits_2(self, capsys):
         assert main(["phasein", "--deltas", "2015-2019"]) == 2
 
+    def test_csv_schedule_and_deltas(self, capsys):
+        assert main(["phasein", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("year,min_cet1_pct,")
+        assert lines[2].startswith("2016,4.5,0.625,5.125,")
+        assert main(["phasein", "--deltas", "2015:2019", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "requirement,delta"
+        assert "total_plus_buffer_pct,+2.5" in lines
+
+    def test_positions_csv_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "pos.csv"
+        p.write_text(
+            "bank_id,year,cet1_ratio_pct,tier1_ratio_pct,total_car_pct,"
+            "leverage_pct,lcr,nsfr\n"
+            "B01,2019,7.0,9.0,12.5,3.0,1.0,1.01\n"
+        )
+        assert main(["phasein", "--positions", str(p), "--format", "csv"]) == 2
+        assert "--format text or json" in capsys.readouterr().err
+
 
 class TestUnitroot:
     def test_stationary_variable_rejects(self, panel_csv, capsys):
@@ -129,6 +160,13 @@ class TestUnitroot:
         )
         assert main(["unitroot", "--panel", str(p), "--vars", "x"]) == 2
         assert "balance" in capsys.readouterr().err
+
+    def test_csv_format(self, panel_csv, capsys):
+        assert main(["unitroot", "--panel", panel_csv, "--vars", "liq,cap",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "variable,rho,z,p_value"
+        assert [l.split(",")[0] for l in lines[1:]] == ["liq", "cap"]
 
 
 class TestFit:
@@ -159,6 +197,11 @@ class TestFit:
 
     def test_custom_needs_dep_and_regressors(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "custom"]) == 2
+
+    def test_csv_format_rejected(self, panel_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--panel", panel_csv, "--model", "all", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:

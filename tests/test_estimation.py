@@ -18,7 +18,6 @@ from baselcost import (
     RegressionSpec,
     fit_within_dk,
     newey_west_auto_bandwidth,
-    pooled_ols,
 )
 
 NAN = float("nan")
@@ -243,14 +242,14 @@ class TestPooledOls:
     def test_constant_fit(self):
         ds = make_panel(["A"], list(range(4)),
                         x=[[1.0, 2.0, 3.0, 4.0]], y=[[3.0, 3.0, 3.0, 3.0]])
-        fit = pooled_ols(ds, RegressionSpec("y", ("x",), fixed_effects=False))
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x",), fixed_effects=False))
         assert fit.coef("const") == pytest.approx(3.0, abs=1e-12)
         assert fit.coef("x") == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_fit(self):
         ds = make_panel(["A"], list(range(5)),
                         x=[[0.0, 1.0, 2.0, 3.0, 4.0]], y=[[0.0, 1.0, 2.0, 3.0, 4.0]])
-        fit = pooled_ols(ds, RegressionSpec("y", ("x",), fixed_effects=False))
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x",), fixed_effects=False))
         assert fit.coef("x") == pytest.approx(1.0, abs=1e-12)
         assert fit.r_squared_within == pytest.approx(1.0, abs=1e-12)
 
@@ -258,7 +257,7 @@ class TestPooledOls:
         # normal equations by hand: intercept 1, slope 2 through (0,1), (1,3)
         ds = make_panel(["A", "B"], [2000],
                         x=[[0.0], [1.0]], y=[[1.0], [3.0]])
-        fit = pooled_ols(
+        fit = fit_within_dk(
             ds, RegressionSpec("y", ("x",), fixed_effects=False,
                                cov_type="conventional")
         )
@@ -271,7 +270,7 @@ class TestPooledOls:
         x = rng.normal(0, 1, (1, n))
         y = 2.0 + 0.5 * x + rng.normal(0, 1, (1, n))
         ds = make_panel(["A"], list(range(n)), x=x, y=y)
-        fit = pooled_ols(
+        fit = fit_within_dk(
             ds, RegressionSpec("y", ("x",), fixed_effects=False,
                                cov_type="conventional")
         )

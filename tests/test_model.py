@@ -2,6 +2,7 @@
 simulation determinism, and system fitting."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from baselcost import (
     propagate_shock,
     simulate_panel,
 )
+from baselcost.model import EQUATIONS
 
 COEFF_NAMES = (
     "spread_const", "spread_liq", "spread_cap",
@@ -59,6 +61,52 @@ class TestPreset:
     def test_unknown_provenance_rejected(self):
         with pytest.raises(DataError):
             CoefficientSet(*([0.0] * 10), provenance="guess")
+
+
+class TestEquationTable:
+    def test_field_names_follow_table(self):
+        derived = tuple(f"{eq}_{term}" for eq, regs in EQUATIONS
+                        for term in ("const", *regs))
+        assert derived == COEFF_NAMES
+        assert tuple(f.name for f in fields(CoefficientSet))[:-1] == derived
+
+    def test_dict_round_trip_random_sets(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            coeffs = CoefficientSet(*rng.normal(0, 3, 10).tolist(), provenance="fitted")
+            assert CoefficientSet.from_dict(coeffs.to_dict()) == coeffs
+            again = CoefficientSet.from_dict(json.loads(json.dumps(coeffs.to_dict())))
+            assert again == coeffs
+
+    @staticmethod
+    def _hand_map(c):
+        """Rows (spread, lending, lgdp, roe) against (d_cap, d_liq), chained."""
+        spread = np.array([c.spread_cap, c.spread_liq])
+        lending = c.lending_spread * spread
+        return np.vstack([spread, lending, lending,
+                          c.roe_lgdp * lending + np.array([c.roe_cap, c.roe_liq])])
+
+    def test_propagation_equals_linear_map(self):
+        rng = np.random.default_rng(62)
+        sets = [PAPER_PRESET] + [
+            CoefficientSet(*rng.normal(0, 2, 10).tolist()) for _ in range(5)
+        ]
+        for c in sets:
+            m = self._hand_map(c)
+            for d_cap, d_liq, d_lgdp in rng.uniform(-5, 5, (40, 3)):
+                shock = np.array([d_cap, d_liq])
+                res = propagate_shock(c, ScenarioInput(delta_cap=d_cap, delta_liq=d_liq))
+                got = np.array([res.delta_spread, res.delta_lending, res.delta_lgdp,
+                                res.delta_roe])
+                np.testing.assert_allclose(got, m @ shock, rtol=1e-12, atol=1e-12)
+
+                res = propagate_shock(c, ScenarioInput(delta_cap=d_cap, delta_liq=d_liq,
+                                                       mode="exogenous", delta_lgdp=d_lgdp))
+                got = np.array([res.delta_spread, res.delta_lending, res.delta_lgdp,
+                                res.delta_roe])
+                want = np.array([m[0] @ shock, m[1] @ shock, d_lgdp,
+                                 c.roe_lgdp * d_lgdp + c.roe_cap * d_cap + c.roe_liq * d_liq])
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestPropagation:
