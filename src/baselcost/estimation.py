@@ -24,6 +24,16 @@ covariance with clusters = periods). The default therefore applies the
 standard few-cluster treatment: Bell-McCaffrey style leverage adjustment of
 the per-period scores plus the usual T/(T-1) * (n-1)/(n-p) degrees-of-freedom
 factor. Pass small_sample=False for the plain textbook estimator.
+
+The leverage adjustment (CR2; Bell and McCaffrey 2002, Pustejovsky and Tipton
+2018) replaces each period's residuals r_t by M_t^(+1/2) r_t, where M_t is
+the period-t diagonal block of the residual maker I - H. The N_t x N_t block
+is never built: it is a diagonal matrix minus a rank-k term, so its
+pseudo-inverse square root is exact from a reduced QR per group of entities
+with equal T_i and one eigendecomposition of size at most (groups x k). The
+cost is O(n k^2) time and O(n k) memory. Eigenvalues at most PINV_RTOL
+times a block's largest are zeroed, and a fit that zeroes any logs one
+warning with the count.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +54,7 @@ log = logging.getLogger(__name__)
 
 COV_TYPES = ("driscoll_kraay", "conventional")
 RANK_RTOL = 1e-10  # smallest/largest singular value ratio below this = rank deficient
+PINV_RTOL = 1e-8  # leverage eigenvalues at or below this share of the largest are zeroed
 
 
 def newey_west_auto_bandwidth(n_periods: int) -> int:
@@ -222,31 +234,19 @@ def _check_rank(Z: np.ndarray, names: Sequence[str]) -> None:
         raise EstimationError(f"design matrix is rank deficient; collinear columns: {guilty}")
 
 
-def _invsqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse square root of a symmetric PSD matrix."""
-    w, v = np.linalg.eigh(m)
-    tol = 1e-8 * max(w[-1], 1e-300)
-    inv = np.where(w > tol, 1.0 / np.sqrt(np.clip(w, tol, None)), 0.0)
-    return (v * inv) @ v.T
-
-
 def _dk_middle(
     Z: np.ndarray,
     resid: np.ndarray,
     per_code: np.ndarray,
     n_periods: int,
     bandwidth: int,
-    adjust: list[np.ndarray] | None,
 ) -> np.ndarray:
     """Bartlett-weighted HAC matrix of the per-period score sums."""
     kz = Z.shape[1]
     h = np.zeros((n_periods, kz))
     for t in range(n_periods):
         rows = per_code == t
-        r = resid[rows]
-        if adjust is not None:
-            r = adjust[t] @ r
-        h[t] = Z[rows].T @ r
+        h[t] = Z[rows].T @ resid[rows]
     S = h.T @ h
     for j in range(1, bandwidth + 1):
         w = 1.0 - j / (bandwidth + 1.0)
@@ -255,42 +255,64 @@ def _dk_middle(
     return S
 
 
-def _cr2_blocks(
-    Xsl_dm: np.ndarray,
-    Z: np.ndarray,
-    ent_code: np.ndarray,
+def _leverage_adjusted_residuals(
+    X: np.ndarray,
+    d: np.ndarray,
+    resid: np.ndarray,
     per_code: np.ndarray,
-    n_periods: int,
-    fixed_effects: bool,
-) -> list[np.ndarray]:
-    """Per-period leverage adjustments (I - P)_tt^(-1/2).
+) -> np.ndarray:
+    """Per-period leverage adjustment M_t^(+1/2) r_t, stacked in row order.
 
-    Under fixed effects the projection space is the entity dummies plus the
-    demeaned slope columns; within one period each entity appears at most
-    once, so the dummy part of the block is diagonal with entries 1/T_i.
+    M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
+    with U = X L and L L' = pinv(X'X). Under fixed effects X is the demeaned
+    design and d = 1 - 1/T_i (each entity appears at most once per period);
+    in a pooled fit X is the full design and d = 1.
+
+    The block is never formed. Grouping the period's rows by d, span{Q_j},
+    with Q_j from a reduced QR of group j's rows of U, is invariant under M_t;
+    on its orthogonal complement M_t acts as d_j on group j. So one eigh of
+    size at most (groups x k) gives the exact pseudo-inverse square root.
+    Eigenvalues at most PINV_RTOL times the largest are zeroed, and the number
+    zeroed is logged.
     """
-    blocks: list[np.ndarray] = []
-    if fixed_effects:
-        n_ent = int(ent_code.max()) + 1
-        t_i = np.bincount(ent_code, minlength=n_ent).astype(float)
-        xtx_inv = np.linalg.pinv(Xsl_dm.T @ Xsl_dm)
-        for t in range(n_periods):
-            rows = np.nonzero(per_code == t)[0]
-            xt = Xsl_dm[rows]
-            m_tt = (
-                np.eye(rows.size)
-                - np.diag(1.0 / t_i[ent_code[rows]])
-                - xt @ xtx_inv @ xt.T
-            )
-            blocks.append(_invsqrt_psd(m_tt))
-    else:
-        ztz_inv = np.linalg.pinv(Z.T @ Z)
-        for t in range(n_periods):
-            rows = np.nonzero(per_code == t)[0]
-            zt = Z[rows]
-            m_tt = np.eye(rows.size) - zt @ ztz_inv @ zt.T
-            blocks.append(_invsqrt_psd(m_tt))
-    return blocks
+    w, v = np.linalg.eigh(X.T @ X)
+    keep = w > 1e-15 * w[-1]  # np.linalg.pinv's cutoff
+    # sort rows by (period, d) so every group is a contiguous slice
+    order = np.lexsort((d, per_code))
+    U = X[order] @ (v[:, keep] / np.sqrt(w[keep]))
+    d, r, p = d[order], resid[order], per_code[order]
+    starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (d[1:] != d[:-1])])
+    spans = zip(starts, np.r_[starts[1:], p.size])
+
+    out = np.empty_like(r)
+    n_zeroed = 0
+    for _, period_spans in groupby(spans, key=lambda span: p[span[0]]):
+        groups = [slice(a, b) for a, b in period_spans]
+        dj = d[[g.start for g in groups]]
+        qs = [np.linalg.qr(U[g])[0] for g in groups]
+        sizes = [q.shape[1] for q in qs]
+        qtu = np.vstack([q.T @ U[g] for q, g in zip(qs, groups)])
+        lam, W = np.linalg.eigh(np.diag(np.repeat(dj, sizes)) - qtu @ qtu.T)
+        # d_j is an eigenvalue only where group j has complement dimension left
+        n_rest = np.array([g.stop - g.start for g in groups]) - sizes
+        tol = PINV_RTOL * max(lam[-1], *dj[n_rest > 0], 1e-300)
+        n_zeroed += int((lam <= tol).sum() + n_rest[dj <= tol].sum())
+        f_lam = np.where(lam > tol, 1.0 / np.sqrt(np.clip(lam, tol, None)), 0.0)
+        f_d = np.where(dj > tol, 1.0 / np.sqrt(np.clip(dj, tol, None)), 0.0)
+
+        qtr = [q.T @ r[g] for q, g in zip(qs, groups)]
+        coords = np.split(W @ (f_lam * (W.T @ np.concatenate(qtr))), np.cumsum(sizes)[:-1])
+        for q, g, c, a, f in zip(qs, groups, qtr, coords, f_d):
+            out[g] = q @ a + f * (r[g] - q @ c)
+    if n_zeroed:
+        log.warning(
+            "small-sample covariance: %d leverage eigenvalue%s at or below %g "
+            "of the largest zeroed (pseudo-inverse)",
+            n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
+        )
+    adjusted = np.empty_like(out)
+    adjusted[order] = out
+    return adjusted
 
 
 def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> FitResult:
@@ -364,11 +386,15 @@ def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> Fi
         bandwidth = 0
     else:
         ztz_inv = np.linalg.inv(Z.T @ Z)
-        adjust = None
         if spec.small_sample:
-            x_for_leverage = X_dm if fixed_effects else Z
-            adjust = _cr2_blocks(x_for_leverage, Z, ent_code, per_code, n_per, fixed_effects)
-        S = _dk_middle(Z, resid, per_code, n_per, bandwidth, adjust)
+            if fixed_effects:
+                x_lev, d = X_dm, 1.0 - 1.0 / np.bincount(ent_code)[ent_code]
+            else:
+                x_lev, d = Z, np.ones(n)
+            resid_scores = _leverage_adjusted_residuals(x_lev, d, resid, per_code)
+        else:
+            resid_scores = resid
+        S = _dk_middle(Z, resid_scores, per_code, n_per, bandwidth)
         if spec.small_sample:
             factor = (n - 1.0) / df
             if n_per > 1:

@@ -1,6 +1,8 @@
 """CLI contract tests: outputs, exit codes, format round trips."""
 
 import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ BS_HEADER = (
     "corp_loans_lt_1y,retail_loans_lt_1y,other_assets,intangibles,goodwill,rwa"
 )
 WORKED_ROW = "B01,2014,100,50,0,200,100,100,300,100,100,10,5,850"
+BUNDLED_PANEL = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_panel.csv")
 
 
 @pytest.fixture
@@ -197,6 +200,30 @@ class TestFit:
 
     def test_custom_needs_dep_and_regressors(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "custom"]) == 2
+
+    def test_bundled_fit_all_zeroes_no_leverage_eigenvalue(self, caplog, capsys):
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            assert main(["fit", "--panel", BUNDLED_PANEL, "--model", "all",
+                         "--format", "json"]) == 0
+        assert [r for r in caplog.records if r.name == "baselcost.estimation"] == []
+        assert json.loads(capsys.readouterr().out)["coefficients"]["provenance"] == "fitted"
+
+    def test_truncation_warning_leaves_stdout_unchanged(self, tmp_path, caplog, capsys):
+        ds = simulate_panel(PAPER_PRESET, 12, 5, 0.05, seed=1002)
+        first = np.zeros((ds.n_entities, ds.n_periods))
+        first[:, 0] = 1.0
+        p = tmp_path / "dummy.csv"
+        write_panel(ds.with_column("d0", first), str(p))
+        argv = ["fit", "--panel", str(p), "--model", "custom", "--dep", "spread",
+                "--regressors", "liq,d0", "--format", "json"]
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            assert main(argv) == 0
+        warned = capsys.readouterr().out
+        assert any("leverage eigenvalue" in r.getMessage() for r in caplog.records)
+        with caplog.at_level(logging.ERROR, logger="baselcost.estimation"):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == warned
+        json.loads(warned)
 
     def test_csv_format_rejected(self, panel_csv, capsys):
         with pytest.raises(SystemExit) as exc:
