@@ -203,8 +203,8 @@ def _assemble(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool):
         raise EstimationError("no usable observations after listwise deletion")
     y = dep[ei, pj]
     X = regs[ei, pj, :]
-    ent_labels = [ds.entities[i] for i in ei]
-    per_labels = [ds.periods[j] for j in pj]
+    ent_labels = np.array(ds.entities, dtype=object)[ei].tolist()
+    per_labels = np.array(ds.periods, dtype=object)[pj].tolist()
     # compact integer codes for kept entities / periods
     _, ent_code = np.unique(ei, return_inverse=True)
     upers, per_code = np.unique(pj, return_inverse=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -158,14 +159,16 @@ class PanelDataset:
         """Restrict to the given entities and/or periods (order preserved)."""
         ents = tuple(entities) if entities is not None else self.entities
         pers = tuple(periods) if periods is not None else self.periods
+        e_at = {e: i for i, e in enumerate(self.entities)}
+        p_at = {p: j for j, p in enumerate(self.periods)}
         for e in ents:
-            if e not in self.entities:
+            if e not in e_at:
                 raise DataError(f"unknown entity {e!r}")
         for p in pers:
-            if p not in self.periods:
+            if p not in p_at:
                 raise DataError(f"unknown period {p!r}")
-        ei = [self.entities.index(e) for e in ents]
-        pi = [self.periods.index(p) for p in pers]
+        ei = [e_at[e] for e in ents]
+        pi = [p_at[p] for p in pers]
         cols = {n: m[np.ix_(ei, pi)] for n, m in self.columns.items()}
         return PanelDataset(ents, pers, cols)
 
@@ -232,9 +235,11 @@ def load_panel(path: str, schema: Sequence[VariableSpec]) -> PanelDataset:
         if missing_cols:
             raise DataError(f"{path}: declared column(s) missing from header: {missing_cols}")
 
-        entities: list[str] = []
-        periods: set[int] = set()
-        cells: dict[tuple[str, int], list[float]] = {}
+        e_index: dict[str, int] = {}  # entity -> matrix row, in order of first appearance
+        seen: set[tuple[str, int]] = set()
+        row_entity: list[int] = []
+        row_year: list[int] = []
+        values = array("d")  # row-major cells, one row per CSV row
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -246,41 +251,38 @@ def load_panel(path: str, schema: Sequence[VariableSpec]) -> PanelDataset:
             if not bank:
                 raise DataError(f"{path}:{lineno}: empty bank_id")
             try:
-                year = int(row[1].strip())
+                year = int(row[1])
             except ValueError:
                 raise DataError(
                     f"{path}:{lineno}: year {row[1]!r} is not an integer"
                 ) from None
             key = (bank, year)
-            if key in cells:
+            if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
-            values = []
+            seen.add(key)
             for col_name, cell in zip(var_names, row[2:]):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(math.nan)
-                    continue
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: cannot parse value {cell!r} in column {col_name!r}"
-                    ) from None
-            cells[key] = values
-            if bank not in entities:
-                entities.append(bank)
-            periods.add(year)
+                    cell = cell.strip()
+                    if cell:
+                        raise DataError(
+                            f"{path}:{lineno}: cannot parse value {cell!r} in column {col_name!r}"
+                        ) from None
+                    values.append(math.nan)
+            row_entity.append(e_index.setdefault(bank, len(e_index)))
+            row_year.append(year)
 
-    ordered_periods = tuple(sorted(periods))
-    n_e, n_p = len(entities), len(ordered_periods)
-    mats = {name: np.full((n_e, n_p), np.nan) for name in var_names}
-    e_index = {e: i for i, e in enumerate(entities)}
-    p_index = {p: j for j, p in enumerate(ordered_periods)}
-    for (bank, year), values in cells.items():
-        i, j = e_index[bank], p_index[year]
-        for name, v in zip(var_names, values):
-            mats[name][i, j] = v
-    return PanelDataset(tuple(entities), ordered_periods, mats)
+    ordered_periods = tuple(sorted(set(row_year)))
+    ei = np.array(row_entity, dtype=np.intp)
+    pj = np.searchsorted(ordered_periods, row_year)
+    table = np.frombuffer(values, dtype=float).reshape(len(row_year), len(var_names))
+    shape = (len(e_index), len(ordered_periods))
+    mats = {}
+    for name, col in zip(var_names, table.T):
+        mats[name] = np.full(shape, np.nan)
+        mats[name][ei, pj] = col
+    return PanelDataset(tuple(e_index), ordered_periods, mats)
 
 
 def write_panel(ds: PanelDataset, path: str) -> None:

@@ -22,14 +22,22 @@ changes: each +1 pp of NSFR maps to -0.46 pp of L/D.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from .errors import DataError, NegativeTceWarning
 
 LTD_PER_NSFR_PP = -0.46  # loans-to-deposits response per +1pp NSFR (Wong et al. 2010)
+
+
+@functools.cache
+def _float_fields(cls: type) -> tuple[str, ...]:
+    """Names of the float fields of a dataclass, in declaration order."""
+    return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -56,14 +64,13 @@ class BalanceSheetSnapshot:
     rwa: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "float":
-                v = getattr(self, f.name)
-                if not math.isfinite(v) or v < 0:
-                    raise DataError(
-                        f"{self.entity} {self.year}: component {f.name} must be a "
-                        f"non-negative finite amount, got {v!r}"
-                    )
+        for name in _float_fields(type(self)):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise DataError(
+                    f"{self.entity} {self.year}: component {name} must be a "
+                    f"non-negative finite amount, got {v!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -256,13 +263,12 @@ class CapitalPosition:
     nsfr: float
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "float":
-                v = getattr(self, f.name)
-                if not math.isfinite(v) or v < 0:
-                    raise DataError(
-                        f"{self.entity} {self.year}: {f.name} must be non-negative, got {v!r}"
-                    )
+        for name in _float_fields(type(self)):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0:
+                raise DataError(
+                    f"{self.entity} {self.year}: {name} must be non-negative, got {v!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -381,120 +387,97 @@ def required_deltas(
 
 # -- CSV ingestion ------------------------------------------------------------
 
-BALANCE_SHEET_COLUMNS = (
-    "common_equity",
-    "debt_ge_1y",
-    "other_liabilities_ge_1y",
-    "stable_deposits_lt_1y",
-    "less_stable_deposits_lt_1y",
-    "govt_debt",
-    "corp_loans_lt_1y",
-    "retail_loans_lt_1y",
-    "other_assets",
-    "intangibles",
-    "goodwill",
-    "rwa",
+# The CSV columns are the float fields of each record type, in field order;
+# this table names the one column that is not spelled like its field.
+_CSV_NAMES = {"other_assets_ex_cash_interbank": "other_assets"}
+BALANCE_SHEET_COLUMNS = tuple(
+    _CSV_NAMES.get(f, f) for f in _float_fields(BalanceSheetSnapshot)
 )
-
-POSITION_COLUMNS = (
-    "cet1_ratio_pct",
-    "tier1_ratio_pct",
-    "total_car_pct",
-    "leverage_pct",
-    "lcr",
-    "nsfr",
-)
+POSITION_COLUMNS = _float_fields(CapitalPosition)
 
 
-def _read_rows(path: str, value_columns: tuple[str, ...],
-               required: tuple[str, ...]) -> list[dict]:
+def _read_rows(
+    path: str, columns: tuple[str, ...], required: tuple[str, ...]
+) -> Iterator[list]:
+    """Yield one record [bank_id, year, *columns] per data row, in file order.
+
+    Every row must have the header's field count and a unique (bank_id,
+    year); a required column must be in the header and non-blank in every
+    row. Other columns that are absent or blank read as 0.0.
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        names = [n.strip() for n in reader.fieldnames]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}:1: empty file, expected a header row")
+        names = [n.strip() for n in header]
         if "bank_id" not in names or "year" not in names:
-            raise DataError(f"{path}: header must include bank_id and year")
+            raise DataError(f"{path}:1: header must include bank_id and year")
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}:1: duplicate column names in header")
         missing = [c for c in required if c not in names]
         if missing:
-            raise DataError(f"{path}: missing required column(s): {missing}")
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            rec: dict = {"entity": (raw.get("bank_id") or "").strip()}
-            if not rec["entity"]:
+            raise DataError(f"{path}:1: missing required column(s): {missing}")
+        bank_at, year_at = names.index("bank_id"), names.index("year")
+        # (record slot, field index, column, required) for each column present
+        cells = [(2 + k, names.index(c), c, c in required)
+                 for k, c in enumerate(columns) if c in names]
+        zeros = [0.0] * len(columns)
+        seen: set[tuple[str, int]] = set()
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataError(
+                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
+                )
+            bank = row[bank_at].strip()
+            if not bank:
                 raise DataError(f"{path}:{lineno}: empty bank_id")
             try:
-                rec["year"] = int((raw.get("year") or "").strip())
+                year = int(row[year_at])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad year {raw.get('year')!r}") from None
-            for col in value_columns:
-                if col not in names:
-                    continue
-                cell = (raw.get(col) or "").strip()
-                if cell == "":
-                    rec[col] = 0.0
-                    continue
+                raise DataError(f"{path}:{lineno}: bad year {row[year_at]!r}") from None
+            key = (bank, year)
+            if key in seen:
+                raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
+            seen.add(key)
+            rec = [bank, year, *zeros]
+            for slot, i, col, req in cells:
                 try:
-                    rec[col] = float(cell)
+                    rec[slot] = float(row[i])
                 except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: cannot parse {cell!r} in column {col!r}"
-                    ) from None
-            rows.append(rec)
-    return rows
+                    cell = row[i].strip()
+                    if cell:
+                        raise DataError(
+                            f"{path}:{lineno}: cannot parse {cell!r} in column {col!r}"
+                        ) from None
+                    if req:
+                        raise DataError(
+                            f"{path}:{lineno}: blank cell in required column {col!r}"
+                        ) from None
+            yield rec
 
 
 def load_balance_sheets(path: str, require_rwa: bool = True) -> list[BalanceSheetSnapshot]:
     """Read balance-sheet CSV rows into snapshots.
 
     Set require_rwa=False when only NSFR is wanted and the capital columns
-    (rwa, intangibles, goodwill) are absent from the file.
+    (rwa, intangibles, goodwill) are absent from the file. Intangibles and
+    goodwill are always optional, rwa is optional when not required; an
+    optional column that is absent or blank reads as 0.0.
     """
-    required: tuple[str, ...] = tuple(c for c in BALANCE_SHEET_COLUMNS
-                                      if c not in ("intangibles", "goodwill", "rwa"))
-    if require_rwa:
-        required = required + ("rwa",)
-    rows = _read_rows(path, BALANCE_SHEET_COLUMNS, required)
-    out = []
-    for rec in rows:
-        out.append(
-            BalanceSheetSnapshot(
-                entity=rec["entity"],
-                year=rec["year"],
-                common_equity=rec.get("common_equity", 0.0),
-                debt_ge_1y=rec.get("debt_ge_1y", 0.0),
-                other_liabilities_ge_1y=rec.get("other_liabilities_ge_1y", 0.0),
-                stable_deposits_lt_1y=rec.get("stable_deposits_lt_1y", 0.0),
-                less_stable_deposits_lt_1y=rec.get("less_stable_deposits_lt_1y", 0.0),
-                govt_debt=rec.get("govt_debt", 0.0),
-                corp_loans_lt_1y=rec.get("corp_loans_lt_1y", 0.0),
-                retail_loans_lt_1y=rec.get("retail_loans_lt_1y", 0.0),
-                other_assets_ex_cash_interbank=rec.get("other_assets", 0.0),
-                intangibles=rec.get("intangibles", 0.0),
-                goodwill=rec.get("goodwill", 0.0),
-                rwa=rec.get("rwa", 0.0),
-            )
-        )
-    return out
+    optional = ("intangibles", "goodwill") + (() if require_rwa else ("rwa",))
+    required = tuple(c for c in BALANCE_SHEET_COLUMNS if c not in optional)
+    return [BalanceSheetSnapshot(*rec)
+            for rec in _read_rows(path, BALANCE_SHEET_COLUMNS, required)]
 
 
 def load_positions(path: str) -> list[CapitalPosition]:
     """Read capital-position CSV rows (header: bank_id,year,<POSITION_COLUMNS>)."""
-    rows = _read_rows(path, POSITION_COLUMNS, POSITION_COLUMNS)
-    return [
-        CapitalPosition(
-            entity=rec["entity"],
-            year=rec["year"],
-            cet1_ratio_pct=rec["cet1_ratio_pct"],
-            tier1_ratio_pct=rec["tier1_ratio_pct"],
-            total_car_pct=rec["total_car_pct"],
-            leverage_pct=rec["leverage_pct"],
-            lcr=rec["lcr"],
-            nsfr=rec["nsfr"],
-        )
-        for rec in rows
-    ]
+    return [CapitalPosition(*rec)
+            for rec in _read_rows(path, POSITION_COLUMNS, POSITION_COLUMNS)]

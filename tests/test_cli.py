@@ -119,6 +119,18 @@ class TestPhasein:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_blank_position_cell_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "pos.csv"
+        p.write_text(
+            "bank_id,year,cet1_ratio_pct,tier1_ratio_pct,total_car_pct,"
+            "leverage_pct,lcr,nsfr\n"
+            "B01,2019,,9.0,12.5,3.0,1.0,1.01\n"
+        )
+        assert main(["phasein", "--positions", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pos.csv:2: blank cell in required column 'cet1_ratio_pct'" in captured.err
+
     def test_bad_deltas_range_exits_2(self, capsys):
         assert main(["phasein", "--deltas", "2015-2019"]) == 2
 

@@ -210,6 +210,16 @@ class TestPointEstimates:
             )
             assert abs(float(demeaned @ fit.residuals)) < 1e-8
 
+    def test_row_labels_name_the_kept_cells(self):
+        ds = make_panel(["A", "B"], [2010, 2011, 2012],
+                        y=[[1.0, NAN, 2.0], [0.5, 1.5, 3.0]],
+                        x0=[[0.1, 0.2, 0.7], [0.4, 0.3, 0.9]])
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x0",)))
+        assert fit.row_entities == ("A", "A", "B", "B", "B")
+        assert fit.row_periods == (2010, 2012, 2010, 2011, 2012)
+        assert {type(e) for e in fit.row_entities} == {str}
+        assert {type(p) for p in fit.row_periods} == {int}
+
 
 class TestCovariance:
     def test_degenerate_single_entity_matches_direct_sum(self):

@@ -1,9 +1,15 @@
 """Data-model tests: ingestion, transforms, derivation, demeaning, lags."""
 
+import csv
 import math
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baselcost import (
     DataError,
@@ -111,6 +117,73 @@ class TestLoadPanel:
         ds2 = load_panel(str(out), [VariableSpec("x")])
         assert ds2.entities == ("Z9", "A1")
         np.testing.assert_array_equal(ds2.column("x"), ds.column("x"))
+
+
+# Bank ids the CSV writer has to quote (commas, quotes, inner spaces) are
+# included; surrounding whitespace is not, since the loader strips it.
+bank_ids = st.text(alphabet="AZaz09_-, \"", min_size=1, max_size=6).filter(
+    lambda s: s == s.strip())
+cells = st.one_of(
+    st.just(NAN),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+@st.composite
+def panels(draw):
+    entities = draw(st.lists(bank_ids, min_size=1, max_size=5, unique=True))
+    periods = sorted(draw(st.lists(st.integers(1990, 2040), min_size=1, max_size=5,
+                                   unique=True)))
+    names = draw(st.lists(st.sampled_from(["roe", "liq", "cap", "x_1"]), max_size=4,
+                          unique=True))
+    shape = (len(entities), len(periods))
+    cols = {n: np.array(draw(st.lists(cells, min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]))).reshape(shape)
+            for n in names}
+    return PanelDataset(tuple(entities), tuple(periods), cols)
+
+
+def assert_same_panel(a, b):
+    assert a.entities == b.entities
+    assert a.periods == b.periods
+    assert list(a.columns) == list(b.columns)
+    for name in a.columns:
+        x, y = a.column(name), b.column(name)
+        np.testing.assert_array_equal(np.isnan(x), np.isnan(y))
+        # bit-identical where present: -0.0 stays -0.0
+        assert x[~np.isnan(x)].tobytes() == y[~np.isnan(y)].tobytes()
+
+
+class TestLoadPanelProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(panels())
+    def test_write_then_load_round_trips_exactly(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "p.csv")
+            write_panel(ds, path)
+            loaded = load_panel(path, [VariableSpec(n) for n in ds.columns])
+        assert_same_panel(loaded, ds)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(panels(), st.randoms(use_true_random=False))
+    def test_row_order_within_bank_does_not_matter(self, ds, rnd: random.Random):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            write_panel(ds, str(path))
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            by_bank: dict[str, list] = {}
+            for row in rows:
+                by_bank.setdefault(row[0], []).append(row)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for bank_rows in by_bank.values():
+                    rnd.shuffle(bank_rows)
+                    writer.writerows(bank_rows)
+            loaded = load_panel(str(path), [])
+        assert_same_panel(loaded, ds)
 
 
 class TestSchemaFile:
@@ -278,6 +351,23 @@ class TestLag:
         both = ~np.isnan(a) & ~np.isnan(b)
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
         np.testing.assert_allclose(a[both], b[both], atol=0)
+
+
+class TestSubset:
+    DS = make_panel(["A", "B", "C"], [2010, 2011], x=[[1, 2], [3, 4], [5, 6]])
+
+    def test_order_follows_request(self):
+        sub = self.DS.subset(entities=["C", "A"], periods=[2011])
+        assert (sub.entities, sub.periods) == (("C", "A"), (2011,))
+        np.testing.assert_array_equal(sub.column("x"), [[6], [2]])
+
+    def test_unknown_entity_rejected(self):
+        with pytest.raises(DataError, match="unknown entity 'Z'"):
+            self.DS.subset(entities=["A", "Z"])
+
+    def test_unknown_period_rejected(self):
+        with pytest.raises(DataError, match="unknown period 2099"):
+            self.DS.subset(periods=[2010, 2099])
 
 
 class TestDatasetInvariants:

@@ -1,4 +1,6 @@
-"""Regulatory ratio tests: NSFR, TCE/RWA, schedule fidelity, compliance."""
+"""Regulatory ratio tests: NSFR, TCE/RWA, schedule fidelity, compliance, CSV ingest."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from baselcost import (
     nsfr_to_ltd_delta,
     required_deltas,
 )
+from baselcost.ratios import load_balance_sheets, load_positions
 
 WORKED = BalanceSheetSnapshot(
     "B01", 2014,
@@ -259,3 +262,168 @@ class TestRequiredDeltas:
     def test_outside_schedule_rejected(self):
         with pytest.raises(DataError):
             required_deltas(2014, 2019)
+
+
+BS_HEADER = (
+    "bank_id,year,common_equity,debt_ge_1y,other_liabilities_ge_1y,"
+    "stable_deposits_lt_1y,less_stable_deposits_lt_1y,govt_debt,"
+    "corp_loans_lt_1y,retail_loans_lt_1y,other_assets,intangibles,goodwill,rwa"
+)
+BS_ROW = "B01,2014,100,50,0,200,100,100,300,100,100,10,5,850"
+POS_HEADER = "bank_id,year,cet1_ratio_pct,tier1_ratio_pct,total_car_pct,leverage_pct,lcr,nsfr"
+POS_ROW = "B01,2019,7.0,9.0,12.5,3.0,1.0,1.01"
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def write(tmp_path, *lines, name="in.csv"):
+    p = tmp_path / name
+    p.write_text("".join(line + "\n" for line in lines))
+    return str(p)
+
+
+class TestLoadBalanceSheets:
+    def test_worked_row(self, tmp_path):
+        (bs,) = load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW))
+        assert bs == WORKED
+
+    def test_bundled_file(self):
+        sheets = load_balance_sheets(str(DATA / "balance_sheets.csv"))
+        assert [(b.entity, b.year) for b in sheets][:2] == [("B01", 2014), ("B02", 2014)]
+        assert sheets[0] == WORKED
+
+    def test_header_only_file_gives_no_rows(self, tmp_path):
+        assert load_balance_sheets(write(tmp_path, BS_HEADER)) == []
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = write(tmp_path, BS_HEADER, "", BS_ROW, "", "B02,2014,x" + ",0" * 11)
+        with pytest.raises(DataError, match=r"in\.csv:5: cannot parse 'x'"):
+            load_balance_sheets(path)
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:1: empty file"):
+            load_balance_sheets(write(tmp_path))
+
+    def test_header_without_keys(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:1: header must include bank_id"):
+            load_balance_sheets(write(tmp_path, BS_HEADER.replace("year", "yr"), BS_ROW))
+
+    def test_duplicate_header_column(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:1: duplicate column"):
+            load_balance_sheets(write(tmp_path, BS_HEADER + ",rwa", BS_ROW + ",1"))
+
+    def test_missing_required_column(self, tmp_path):
+        header = BS_HEADER.replace("govt_debt,", "")
+        row = "B01,2014,100,50,0,200,100,300,100,100,10,5,850"
+        with pytest.raises(DataError, match=r"in\.csv:1: missing required column.*govt_debt"):
+            load_balance_sheets(write(tmp_path, header, row))
+
+    def test_missing_rwa_only_when_required(self, tmp_path):
+        header = BS_HEADER.rsplit(",", 1)[0]
+        path = write(tmp_path, header, BS_ROW.rsplit(",", 1)[0])
+        with pytest.raises(DataError, match=r"in\.csv:1: .*'rwa'"):
+            load_balance_sheets(path)
+        (bs,) = load_balance_sheets(path, require_rwa=False)
+        assert bs.rwa == 0.0
+
+    def test_absent_optional_columns_read_as_zero(self, tmp_path):
+        header = BS_HEADER.rsplit(",", 3)[0]  # no intangibles, goodwill, rwa
+        path = write(tmp_path, header, "B01,2014,100,50,0,200,100,100,300,100,100")
+        (bs,) = load_balance_sheets(path, require_rwa=False)
+        assert (bs.intangibles, bs.goodwill, bs.rwa) == (0.0, 0.0, 0.0)
+        assert compute_nsfr(bs) == compute_nsfr(WORKED)
+
+    def test_blank_optional_cells_read_as_zero(self, tmp_path):
+        path = write(tmp_path, BS_HEADER, "B01,2014,100,50,0,200,100,100,300,100,100, ,,")
+        (bs,) = load_balance_sheets(path, require_rwa=False)
+        assert (bs.intangibles, bs.goodwill, bs.rwa) == (0.0, 0.0, 0.0)
+
+    def test_empty_bank_id(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:3: empty bank_id"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW, " " + BS_ROW[3:]))
+
+    def test_bad_year(self, tmp_path):
+        row = BS_ROW.replace("2014", "20x4")
+        with pytest.raises(DataError, match=r"in\.csv:2: bad year '20x4'"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, row))
+
+    def test_unparseable_cell(self, tmp_path):
+        row = BS_ROW.replace(",850", ", 8.5.0 ")
+        with pytest.raises(DataError, match=r"in\.csv:2: cannot parse '8\.5\.0' in column 'rwa'"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, row))
+
+    @pytest.mark.parametrize("row, got", [(BS_ROW + ",1", 15), (BS_ROW.rsplit(",", 1)[0], 13)])
+    def test_wrong_field_count(self, tmp_path, row, got):
+        with pytest.raises(DataError, match=rf"in\.csv:3: expected 14 fields, got {got}"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW.replace("B01", "B00"), row))
+
+    def test_duplicate_key(self, tmp_path):
+        path = write(tmp_path, BS_HEADER, BS_ROW, BS_ROW.replace("B01", "B02"), BS_ROW)
+        with pytest.raises(DataError, match=r"in\.csv:4: duplicate observation for \('B01', 2014\)"):
+            load_balance_sheets(path)
+
+    @pytest.mark.parametrize("column", ["common_equity", "other_assets", "rwa"])
+    def test_blank_required_cell(self, tmp_path, column):
+        cells = BS_ROW.split(",")
+        cells[BS_HEADER.split(",").index(column)] = "  "
+        path = write(tmp_path, BS_HEADER, BS_ROW.replace("B01", "B00"), ",".join(cells))
+        with pytest.raises(DataError, match=rf"in\.csv:3: blank cell in required column '{column}'"):
+            load_balance_sheets(path)
+
+    def test_negative_amount_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="common_equity must be a non-negative"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW.replace(",100,", ",-100,", 1)))
+
+
+class TestLoadPositions:
+    def test_row_read(self, tmp_path):
+        (pos,) = load_positions(write(tmp_path, POS_HEADER, POS_ROW))
+        assert pos == CapitalPosition("B01", 2019, 7.0, 9.0, 12.5, 3.0, 1.0, 1.01)
+
+    def test_bundled_file(self):
+        positions = load_positions(str(DATA / "positions.csv"))
+        assert [(p.entity, p.year) for p in positions] == \
+            [("B01", 2019), ("B02", 2016), ("B03", 2017)]
+
+    def test_columns_in_any_order(self, tmp_path):
+        path = write(tmp_path, "nsfr,lcr,leverage_pct,total_car_pct,tier1_ratio_pct,"
+                               "cet1_ratio_pct,year,bank_id",
+                     "1.01,1.0,3.0,12.5,9.0,7.0,2019,B01")
+        assert load_positions(path) == load_positions(write(tmp_path, POS_HEADER, POS_ROW,
+                                                            name="b.csv"))
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:1: empty file"):
+            load_positions(write(tmp_path))
+
+    def test_missing_required_column(self, tmp_path):
+        header = POS_HEADER.rsplit(",", 1)[0]
+        with pytest.raises(DataError, match=r"in\.csv:1: missing required column.*'nsfr'"):
+            load_positions(write(tmp_path, header, POS_ROW.rsplit(",", 1)[0]))
+
+    def test_empty_bank_id(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:2: empty bank_id"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW.replace("B01", "")))
+
+    def test_bad_year(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:2: bad year ''"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW.replace("2019", "")))
+
+    def test_unparseable_cell(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:2: cannot parse 'n/a' in column 'lcr'"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW.replace(",1.0,", ",n/a,")))
+
+    def test_wrong_field_count(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:2: expected 8 fields, got 7"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW.rsplit(",", 1)[0]))
+
+    def test_duplicate_key(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:3: duplicate observation for \('B01', 2019\)"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW, POS_ROW))
+
+    def test_same_bank_other_year_is_not_a_duplicate(self, tmp_path):
+        rows = load_positions(write(tmp_path, POS_HEADER, POS_ROW, POS_ROW.replace("2019", "2018")))
+        assert [p.year for p in rows] == [2019, 2018]
+
+    def test_blank_required_cell(self, tmp_path):
+        with pytest.raises(DataError, match=r"in\.csv:2: blank cell in required column 'cet1_ratio_pct'"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW.replace(",7.0,", ",,")))
