@@ -32,8 +32,10 @@ is never built: it is a diagonal matrix minus a rank-k term, so its
 pseudo-inverse square root is exact from a reduced QR per group of entities
 with equal T_i and one eigendecomposition of size at most (groups x k). The
 cost is O(n k^2) time and O(n k) memory. Eigenvalues at most PINV_RTOL
-times a block's largest are zeroed, and a fit that zeroes any logs one
-warning with the count.
+are zeroed, and a fit that zeroes any logs one warning with the count.
+
+Specs fitted together by fit_within_dk_many (as model.fit_system does)
+that keep the same rows share one assembly of those rows.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ log = logging.getLogger(__name__)
 
 COV_TYPES = ("driscoll_kraay", "conventional")
 RANK_RTOL = 1e-10  # smallest/largest singular value ratio below this = rank deficient
-PINV_RTOL = 1e-8  # leverage eigenvalues at or below this share of the largest are zeroed
+# Leverage eigenvalues at or below this are zeroed. Every period block of
+# I - H has its eigenvalues in [0, 1], so the bound is relative to 1, not to
+# the block's own largest, which may itself be rounding noise.
+PINV_RTOL = 1e-8
 
 
 def newey_west_auto_bandwidth(n_periods: int) -> int:
@@ -177,52 +182,83 @@ class FitResult:
 # -- internals ----------------------------------------------------------------
 
 
-def _assemble(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool):
-    """Listwise-complete rows for the regression, entity-major order."""
+def _usable_rows(
+    ds: PanelDataset, spec: RegressionSpec
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Listwise-complete cells of the spec's columns, (n_entities, n_periods).
+
+    Under fixed effects, entities left with fewer than 2 usable periods are
+    removed with a logged warning; their ids are returned alongside.
+    """
     for name in (spec.dependent, *spec.regressors):
         ds.column(name)  # raises DataError if absent
-    dep = ds.column(spec.dependent)
-    regs = np.stack([ds.column(r) for r in spec.regressors], axis=-1)  # (nE, nP, k)
-    keep = ~np.isnan(dep) & ~np.isnan(regs).any(axis=-1)  # (nE, nP)
+    keep = ~np.isnan(ds.column(spec.dependent))
+    for name in spec.regressors:
+        keep &= ~np.isnan(ds.column(name))
 
-    dropped: list[str] = []
-    if fixed_effects:
-        counts = keep.sum(axis=1)
-        for i, c in enumerate(counts):
-            if 0 < c < 2:
-                dropped.append(ds.entities[i])
-                keep[i] = False
+    dropped: tuple[str, ...] = ()
+    if spec.fixed_effects:
+        thin = np.flatnonzero(keep.sum(axis=1) == 1)
+        keep[thin] = False
+        dropped = tuple(ds.entities[i] for i in thin)
         if dropped:
             log.warning(
                 "dropping %d entit%s with fewer than 2 usable periods: %s",
-                len(dropped), "y" if len(dropped) == 1 else "ies", dropped,
+                len(dropped), "y" if len(dropped) == 1 else "ies", list(dropped),
             )
-
-    ei, pj = np.nonzero(keep)
-    if ei.size == 0:
-        raise EstimationError("no usable observations after listwise deletion")
-    y = dep[ei, pj]
-    X = regs[ei, pj, :]
-    ent_labels = np.array(ds.entities, dtype=object)[ei].tolist()
-    per_labels = np.array(ds.periods, dtype=object)[pj].tolist()
-    # compact integer codes for kept entities / periods
-    _, ent_code = np.unique(ei, return_inverse=True)
-    upers, per_code = np.unique(pj, return_inverse=True)
-    return y, X, ent_code, per_code, len(upers), ent_labels, per_labels, tuple(dropped)
+    return keep, dropped
 
 
-def _entity_demean(v: np.ndarray, ent_code: np.ndarray) -> np.ndarray:
-    """Subtract per-entity means (v is (n,) or (n,k))."""
-    n_ent = int(ent_code.max()) + 1
-    counts = np.bincount(ent_code, minlength=n_ent).astype(float)
-    if v.ndim == 1:
-        sums = np.bincount(ent_code, weights=v, minlength=n_ent)
-        return v - (sums / counts)[ent_code]
-    out = np.empty_like(v, dtype=float)
-    for c in range(v.shape[1]):
-        sums = np.bincount(ent_code, weights=v[:, c], minlength=n_ent)
-        out[:, c] = v[:, c] - (sums / counts)[ent_code]
-    return out
+class _Rows:
+    """The rows one keep mask selects, in entity-major order, shared by the
+    specs fitted on them: entity and period codes, labels, one stable sort by
+    (period, d) cut into per-period slices of equal-d groups (d = 1 - 1/T_i
+    under fixed effects, 1 pooled), and a memo of each column's values and
+    entity-demeaned values at the rows. Built afresh by every fitting call.
+    """
+
+    def __init__(self, ds: PanelDataset, keep: np.ndarray, dropped: tuple[str, ...],
+                 fixed_effects: bool) -> None:
+        ei, pj = np.nonzero(keep)
+        if ei.size == 0:
+            raise EstimationError("no usable observations after listwise deletion")
+        self.n, self.dropped = ei.size, dropped
+        self.row_entities = tuple(np.array(ds.entities, dtype=object)[ei].tolist())
+        self.row_periods = tuple(np.array(ds.periods, dtype=object)[pj].tolist())
+        # compact codes over the entities and periods that keep any row
+        ent_used, per_used = keep.any(axis=1), keep.any(axis=0)
+        self.ent_code = (np.cumsum(ent_used) - 1)[ei]
+        per_code = (np.cumsum(per_used) - 1)[pj]
+        self.n_ent, self.n_per = int(ent_used.sum()), int(per_used.sum())
+        self.counts = np.bincount(self.ent_code).astype(float)  # T_i per entity
+        d = 1.0 - 1.0 / self.counts[self.ent_code] if fixed_effects else np.ones(self.n)
+
+        self.order = np.lexsort((d, per_code))
+        p, self.d = per_code[self.order], d[self.order]
+        starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (self.d[1:] != self.d[:-1])])
+        spans = zip(starts.tolist(), np.r_[starts[1:], p.size].tolist())
+        # per period, the slices of the sorted rows that share one d
+        self.groups = [[slice(a, b) for a, b in period_spans]
+                       for _, period_spans in groupby(spans, key=lambda span: p[span[0]])]
+        self.periods = [slice(g[0].start, g[-1].stop) for g in self.groups]
+
+        self._ds, self._ei, self._pj = ds, ei, pj
+        self._values: dict[str, np.ndarray] = {}
+        self._demeaned: dict[str, np.ndarray] = {}
+
+    def values(self, name: str) -> np.ndarray:
+        """Column `name` at the rows."""
+        if name not in self._values:
+            self._values[name] = self._ds.column(name)[self._ei, self._pj]
+        return self._values[name]
+
+    def demeaned(self, name: str) -> np.ndarray:
+        """Column `name` at the rows less each entity's mean over its rows."""
+        if name not in self._demeaned:
+            v = self.values(name)
+            sums = np.bincount(self.ent_code, weights=v, minlength=self.n_ent)
+            self._demeaned[name] = v - (sums / self.counts)[self.ent_code]
+        return self._demeaned[name]
 
 
 def _check_rank(Z: np.ndarray, names: Sequence[str]) -> None:
@@ -235,18 +271,13 @@ def _check_rank(Z: np.ndarray, names: Sequence[str]) -> None:
 
 
 def _dk_middle(
-    Z: np.ndarray,
-    resid: np.ndarray,
-    per_code: np.ndarray,
-    n_periods: int,
-    bandwidth: int,
+    Z: np.ndarray, scores: np.ndarray, periods: list[slice], bandwidth: int
 ) -> np.ndarray:
-    """Bartlett-weighted HAC matrix of the per-period score sums."""
-    kz = Z.shape[1]
-    h = np.zeros((n_periods, kz))
-    for t in range(n_periods):
-        rows = per_code == t
-        h[t] = Z[rows].T @ resid[rows]
+    """Bartlett-weighted HAC matrix of the per-period score sums.
+
+    Z and scores are in the period-sorted row order; periods are its slices.
+    """
+    h = np.array([Z[t].T @ scores[t] for t in periods])
     S = h.T @ h
     for j in range(1, bandwidth + 1):
         w = 1.0 - j / (bandwidth + 1.0)
@@ -255,13 +286,8 @@ def _dk_middle(
     return S
 
 
-def _leverage_adjusted_residuals(
-    X: np.ndarray,
-    d: np.ndarray,
-    resid: np.ndarray,
-    per_code: np.ndarray,
-) -> np.ndarray:
-    """Per-period leverage adjustment M_t^(+1/2) r_t, stacked in row order.
+def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) -> np.ndarray:
+    """Per-period leverage adjustment M_t^(+1/2) r_t, in the period-sorted row order.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
     with U = X L and L L' = pinv(X'X). Under fixed effects X is the demeaned
@@ -270,68 +296,57 @@ def _leverage_adjusted_residuals(
 
     The block is never formed. Grouping the period's rows by d, span{Q_j},
     with Q_j from a reduced QR of group j's rows of U, is invariant under M_t;
-    on its orthogonal complement M_t acts as d_j on group j. So one eigh of
-    size at most (groups x k) gives the exact pseudo-inverse square root.
-    Eigenvalues at most PINV_RTOL times the largest are zeroed, and the number
-    zeroed is logged.
+    on its orthogonal complement M_t acts as d_j >= 1/2 on group j. So one
+    eigh of size at most (groups x k) gives the exact pseudo-inverse square
+    root. Eigenvalues at most PINV_RTOL are zeroed, and the number zeroed is
+    logged.
     """
     w, v = np.linalg.eigh(X.T @ X)
     keep = w > 1e-15 * w[-1]  # np.linalg.pinv's cutoff
-    # sort rows by (period, d) so every group is a contiguous slice
-    order = np.lexsort((d, per_code))
-    U = X[order] @ (v[:, keep] / np.sqrt(w[keep]))
-    d, r, p = d[order], resid[order], per_code[order]
-    starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (d[1:] != d[:-1])])
-    spans = zip(starts, np.r_[starts[1:], p.size])
+    U = X[rows.order] @ (v[:, keep] / np.sqrt(w[keep]))
+    r = resid[rows.order]
 
     out = np.empty_like(r)
     n_zeroed = 0
-    for _, period_spans in groupby(spans, key=lambda span: p[span[0]]):
-        groups = [slice(a, b) for a, b in period_spans]
-        dj = d[[g.start for g in groups]]
+    for groups in rows.groups:
+        dj = rows.d[[g.start for g in groups]]
         qs = [np.linalg.qr(U[g])[0] for g in groups]
         sizes = [q.shape[1] for q in qs]
         qtu = np.vstack([q.T @ U[g] for q, g in zip(qs, groups)])
         lam, W = np.linalg.eigh(np.diag(np.repeat(dj, sizes)) - qtu @ qtu.T)
-        # d_j is an eigenvalue only where group j has complement dimension left
-        n_rest = np.array([g.stop - g.start for g in groups]) - sizes
-        tol = PINV_RTOL * max(lam[-1], *dj[n_rest > 0], 1e-300)
-        n_zeroed += int((lam <= tol).sum() + n_rest[dj <= tol].sum())
-        f_lam = np.where(lam > tol, 1.0 / np.sqrt(np.clip(lam, tol, None)), 0.0)
-        f_d = np.where(dj > tol, 1.0 / np.sqrt(np.clip(dj, tol, None)), 0.0)
+        n_zeroed += int((lam <= PINV_RTOL).sum())
+        f_lam = np.where(lam > PINV_RTOL, 1.0 / np.sqrt(np.clip(lam, PINV_RTOL, None)), 0.0)
 
         qtr = [q.T @ r[g] for q, g in zip(qs, groups)]
         coords = np.split(W @ (f_lam * (W.T @ np.concatenate(qtr))), np.cumsum(sizes)[:-1])
-        for q, g, c, a, f in zip(qs, groups, qtr, coords, f_d):
+        for q, g, c, a, f in zip(qs, groups, qtr, coords, 1.0 / np.sqrt(dj)):
             out[g] = q @ a + f * (r[g] - q @ c)
     if n_zeroed:
         log.warning(
             "small-sample covariance: %d leverage eigenvalue%s at or below %g "
-            "of the largest zeroed (pseudo-inverse)",
+            "zeroed (pseudo-inverse)",
             n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
         )
-    adjusted = np.empty_like(out)
-    adjusted[order] = out
-    return adjusted
+    return out
 
 
-def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> FitResult:
-    y, X, ent_code, per_code, n_per, ent_labels, per_labels, dropped = _assemble(
-        ds, spec, fixed_effects
-    )
-    n = y.size
-    k = X.shape[1]
-    n_ent = int(ent_code.max()) + 1
+def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
+    fixed_effects = spec.fixed_effects
+    n = rows.n
+    k = len(spec.regressors)
+    n_ent, n_per = rows.n_ent, rows.n_per
 
     if fixed_effects and n <= k + 1:
         raise EstimationError(
             f"too few observations: {n} rows for {k} regressors"
         )
 
+    y = rows.values(spec.dependent)
+    X = np.column_stack([rows.values(r) for r in spec.regressors])
     names: tuple[str, ...]
     if fixed_effects:
-        y_dm = _entity_demean(y, ent_code)
-        X_dm = _entity_demean(X, ent_code)
+        y_dm = rows.demeaned(spec.dependent)
+        X_dm = np.column_stack([rows.demeaned(r) for r in spec.regressors])
         if spec.include_intercept:
             Z = np.column_stack([np.ones(n), X_dm + X.mean(axis=0)])
             y_reg = y_dm + y.mean()
@@ -343,7 +358,6 @@ def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> Fi
         tss = float(y_dm @ y_dm)
         n_params = k + n_ent
     else:
-        X_dm = X
         if spec.include_intercept:
             Z = np.column_stack([np.ones(n), X])
             names = ("const", *spec.regressors)
@@ -387,14 +401,10 @@ def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> Fi
     else:
         ztz_inv = np.linalg.inv(Z.T @ Z)
         if spec.small_sample:
-            if fixed_effects:
-                x_lev, d = X_dm, 1.0 - 1.0 / np.bincount(ent_code)[ent_code]
-            else:
-                x_lev, d = Z, np.ones(n)
-            resid_scores = _leverage_adjusted_residuals(x_lev, d, resid, per_code)
+            scores = _leverage_adjusted_residuals(X_dm if fixed_effects else Z, rows, resid)
         else:
-            resid_scores = resid
-        S = _dk_middle(Z, resid_scores, per_code, n_per, bandwidth)
+            scores = resid[rows.order]
+        S = _dk_middle(Z[rows.order], scores, rows.periods, bandwidth)
         if spec.small_sample:
             factor = (n - 1.0) / df
             if n_per > 1:
@@ -429,13 +439,32 @@ def _fit_core(ds: PanelDataset, spec: RegressionSpec, fixed_effects: bool) -> Fi
         bandwidth_used=bandwidth,
         cov_type=spec.cov_type,
         small_sample=spec.small_sample,
-        dropped_entities=dropped,
-        row_entities=tuple(ent_labels),
-        row_periods=tuple(per_labels),
+        dropped_entities=rows.dropped,
+        row_entities=rows.row_entities,
+        row_periods=rows.row_periods,
     )
 
 
 # -- public fitters -----------------------------------------------------------
+
+
+def fit_within_dk_many(ds: PanelDataset, specs: Sequence[RegressionSpec]) -> list[FitResult]:
+    """fit_within_dk for each spec in turn, assembling shared rows once.
+
+    Specs that keep the same rows (same listwise mask, dropped entities and
+    fixed-effects setting) share one assembly: row codes and labels, the
+    period sort, and each column's values and entity-demeaned values. Each
+    result equals that of a separate fit_within_dk call.
+    """
+    assembled: dict = {}
+    fits = []
+    for spec in specs:
+        keep, dropped = _usable_rows(ds, spec)
+        key = (spec.fixed_effects, keep.tobytes(), dropped)
+        if key not in assembled:
+            assembled[key] = _Rows(ds, keep, dropped, spec.fixed_effects)
+        fits.append(_fit_core(assembled[key], spec))
+    return fits
 
 
 def fit_within_dk(ds: PanelDataset, spec: RegressionSpec) -> FitResult:
@@ -446,5 +475,4 @@ def fit_within_dk(ds: PanelDataset, spec: RegressionSpec) -> FitResult:
     removed with a logged warning. Set spec.fixed_effects=False for a pooled
     fit through the same covariance machinery.
     """
-    return _fit_core(ds, spec, fixed_effects=spec.fixed_effects)
-
+    return fit_within_dk_many(ds, (spec,))[0]

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DataError
-from .estimation import FitResult, RegressionSpec, fit_within_dk
+from .estimation import FitResult, RegressionSpec, fit_within_dk_many
 from .panel import PanelDataset
 from .ratios import BANGLADESH_SCHEDULE, PhaseInSchedule
 
@@ -388,17 +388,18 @@ def fit_system(
     if missing:
         raise DataError(f"dataset lacks system column(s) {missing}; apply transforms first")
 
-    fits = {
-        eq: fit_within_dk(ds, RegressionSpec(
+    specs = [
+        RegressionSpec(
             dependent=eq,
             regressors=regs,
             include_intercept=True,
             fixed_effects=True,
             dk_bandwidth=dk_bandwidth,
             small_sample=small_sample,
-        ))
+        )
         for eq, regs in equations.items()
-    }
+    ]
+    fits = dict(zip(equations, fit_within_dk_many(ds, specs)))
     coeffs = None
     if roe_form == "estimated":
         coeffs = CoefficientSet(

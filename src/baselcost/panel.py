@@ -288,16 +288,14 @@ def load_panel(path: str, schema: Sequence[VariableSpec]) -> PanelDataset:
 def write_panel(ds: PanelDataset, path: str) -> None:
     """Emit the dataset back to wide CSV (missing cells become empty)."""
     names = list(ds.columns)
+    # Python floats, [column][entity][period]; csv writes them as repr()
+    cols = [ds.columns[name].tolist() for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bank_id", "year", *names])
         for i, bank in enumerate(ds.entities):
-            for j, year in enumerate(ds.periods):
-                row = [bank, str(year)]
-                for name in names:
-                    v = ds.columns[name][i, j]
-                    row.append("" if math.isnan(v) else repr(float(v)))
-                writer.writerow(row)
+            for year, *values in zip(ds.periods, *(col[i] for col in cols)):
+                writer.writerow([bank, year, *["" if math.isnan(v) else v for v in values]])
 
 
 # -- variable construction ---------------------------------------------------

@@ -26,7 +26,6 @@ import functools
 import json
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 from .errors import DataError, NegativeTceWarning
@@ -397,13 +396,14 @@ POSITION_COLUMNS = _float_fields(CapitalPosition)
 
 
 def _read_rows(
-    path: str, columns: tuple[str, ...], required: tuple[str, ...]
-) -> Iterator[list]:
-    """Yield one record [bank_id, year, *columns] per data row, in file order.
+    path: str, record: type, columns: tuple[str, ...], required: tuple[str, ...]
+) -> list:
+    """One record(bank_id, year, *columns) per data row, in file order.
 
     Every row must have the header's field count and a unique (bank_id,
     year); a required column must be in the header and non-blank in every
-    row. Other columns that are absent or blank read as 0.0.
+    row. Other columns that are absent or blank read as 0.0. A DataError
+    from the record's own checks is re-raised naming the row's path:line.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -428,6 +428,7 @@ def _read_rows(
                  for k, c in enumerate(columns) if c in names]
         zeros = [0.0] * len(columns)
         seen: set[tuple[str, int]] = set()
+        records = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -460,7 +461,11 @@ def _read_rows(
                         raise DataError(
                             f"{path}:{lineno}: blank cell in required column {col!r}"
                         ) from None
-            yield rec
+            try:
+                records.append(record(*rec))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def load_balance_sheets(path: str, require_rwa: bool = True) -> list[BalanceSheetSnapshot]:
@@ -473,11 +478,9 @@ def load_balance_sheets(path: str, require_rwa: bool = True) -> list[BalanceShee
     """
     optional = ("intangibles", "goodwill") + (() if require_rwa else ("rwa",))
     required = tuple(c for c in BALANCE_SHEET_COLUMNS if c not in optional)
-    return [BalanceSheetSnapshot(*rec)
-            for rec in _read_rows(path, BALANCE_SHEET_COLUMNS, required)]
+    return _read_rows(path, BalanceSheetSnapshot, BALANCE_SHEET_COLUMNS, required)
 
 
 def load_positions(path: str) -> list[CapitalPosition]:
     """Read capital-position CSV rows (header: bank_id,year,<POSITION_COLUMNS>)."""
-    return [CapitalPosition(*rec)
-            for rec in _read_rows(path, POSITION_COLUMNS, POSITION_COLUMNS)]
+    return _read_rows(path, CapitalPosition, POSITION_COLUMNS, POSITION_COLUMNS)

@@ -27,6 +27,7 @@ from baselcost import (
     newey_west_auto_bandwidth,
     simulate_panel,
 )
+from baselcost import estimation
 from baselcost.model import EQUATIONS
 
 NAN = float("nan")
@@ -105,8 +106,9 @@ def cr2_dk_oracle(ds, spec):
     design: entity dummies plus regressors under fixed effects, the pooled
     design otherwise. Nothing uses the 1/T_i form of the dummy part. The
     block's inverse square root comes from eigh, with eigenvalues at most
-    1e-8 of the block's largest set to zero. Returns the covariance and the
-    smallest eigenvalue kept, which bounds how far rounding can move it.
+    1e-8 set to zero (every block of I - H has its eigenvalues in [0, 1]).
+    Returns the covariance and the smallest eigenvalue kept, which bounds how
+    far rounding can move it.
     """
     y = ds.column(spec.dependent)
     X = np.stack([ds.column(r) for r in spec.regressors], axis=-1)
@@ -135,10 +137,9 @@ def cr2_dk_oracle(ds, spec):
     for t in periods:
         rows = np.flatnonzero(pj == t)
         w, v = np.linalg.eigh(M[np.ix_(rows, rows)])
-        tol = 1e-8 * w[-1]
-        inv = np.where(w > tol, 1.0 / np.sqrt(np.clip(w, tol, None)), 0.0)
+        inv = np.where(w > 1e-8, 1.0 / np.sqrt(np.clip(w, 1e-8, None)), 0.0)
         adjusted[rows] = (v * inv) @ v.T @ resid[rows]
-        smallest_kept = min(smallest_kept, w[w > tol].min())
+        smallest_kept = min(smallest_kept, w[w > 1e-8].min())
     n_per = periods.size
     bandwidth = spec.dk_bandwidth
     if bandwidth == "auto":
@@ -401,6 +402,34 @@ class TestSmallSampleCovariance:
         np.testing.assert_allclose(
             fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
         )
+
+    def test_zero_leverage_block_gives_exact_zero_residual(self, monkeypatch, caplog):
+        # pooled y ~ x0 + p0, p0 marking the first period, in which only E0 is
+        # observed: that row has leverage 1, so its period block of I - H is
+        # exactly 0 and the block's one eigenvalue is rounding noise
+        seen = []
+        dk_middle = estimation._dk_middle
+
+        def spy(Z, scores, periods, bandwidth):
+            seen.append((Z, scores))
+            return dk_middle(Z, scores, periods, bandwidth)
+
+        monkeypatch.setattr(estimation, "_dk_middle", spy)
+        spec = RegressionSpec("y", ("x0", "p0"), fixed_effects=False)
+        for seed in range(40):
+            ds = random_panel(np.random.default_rng(seed), 6, 4, 1)
+            y = ds.column("y").copy()
+            y[1:, 0] = np.nan
+            p0 = np.zeros((6, 4))
+            p0[:, 0] = 1.0
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+                fit_within_dk(ds.with_column("y", y).with_column("p0", p0), spec)
+            Z, scores = seen[-1]
+            [row] = np.flatnonzero(Z[:, -1] == 1.0)
+            assert scores[row] == 0.0, seed
+            [message] = estimation_warnings(caplog)
+            assert "1 leverage eigenvalue " in message
 
     def test_wide_fit_never_builds_period_blocks(self):
         # one dense 3000 x 3000 block alone is 69 MiB; the low-rank form

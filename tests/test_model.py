@@ -2,19 +2,25 @@
 simulation determinism, and system fitting."""
 
 import json
+import logging
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from baselcost import (
     BANGLADESH_SCHEDULE,
     CoefficientSet,
     DataError,
+    EstimationError,
     PAPER_PRESET,
     PanelDataset,
+    RegressionSpec,
     ScenarioInput,
     fit_system,
+    fit_within_dk,
     phase_in_scenario,
     propagate_shock,
     simulate_panel,
@@ -335,3 +341,58 @@ class TestFitSystem:
         ladder = [self._mean_max_rel_err(nb, ny, 0.05, seeds)
                   for nb, ny in ((10, 5), (40, 10), (160, 20))]
         assert ladder[0] > ladder[1] > ladder[2]
+
+    @pytest.mark.parametrize("holes, dropping, n_obs", [
+        ({}, [], [60, 60, 60]),
+        # lending alone uses gdp: it loses one cell of B01 and all but one of
+        # B02, which it then drops; spread and roe keep every row
+        ({"gdp": [(0, 2), (1, 1), (1, 2), (1, 3), (1, 4)]}, ["lending"], [60, 54, 60]),
+        # B02 keeps one liq cell, so spread and roe drop it; lending has no
+        # B02 row at all, so all three keep the same cells but drop different
+        # entities
+        ({"liq": [(1, 1), (1, 2), (1, 3), (1, 4)], "gdp": [(1, j) for j in range(5)]},
+         ["spread", "roe"], [55, 55, 55]),
+    ])
+    def test_each_equation_equals_its_standalone_fit(self, holes, dropping, n_obs, caplog):
+        ds = simulate_panel(PAPER_PRESET, 12, 5, 0.05, seed=61)
+        for name, cells in holes.items():
+            col = ds.column(name).copy()
+            col[tuple(zip(*cells))] = np.nan
+            ds = ds.with_column(name, col)
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            system = fit_system(ds)
+        message = "dropping 1 entity with fewer than 2 usable periods: ['B02']"
+        assert [m for m in caplog.messages if m.startswith("dropping")] == \
+            [message] * len(dropping)
+        for (eq, regs), fit in zip(EQUATIONS, system.fits):
+            alone = fit_within_dk(ds, RegressionSpec(eq, regs, dk_bandwidth=0))
+            assert np.array_equal(fit.coefficients, alone.coefficients), eq
+            assert (fit.n_obs, fit.row_entities, fit.row_periods, fit.dropped_entities) == \
+                (alone.n_obs, alone.row_entities, alone.row_periods, alone.dropped_entities)
+            assert fit.dropped_entities == (("B02",) if eq in dropping else ())
+            np.testing.assert_allclose(fit.covariance, alone.covariance, rtol=0,
+                                       atol=1e-12 * np.abs(alone.covariance).max())
+        assert [fit.n_obs for fit in system.fits] == n_obs
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_banks=st.integers(4, 12), n_years=st.integers(3, 6),
+           seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 4), data=st.data())
+    def test_estimates_invariant_to_entity_order(self, n_banks, n_years, seed, holes, data):
+        ds = simulate_panel(PAPER_PRESET, n_banks, n_years, 0.05, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name in rng.choice(list(ds.columns), size=holes):
+            col = ds.column(name).copy()
+            col[rng.integers(n_banks), rng.integers(n_years)] = np.nan
+            ds = ds.with_column(name, col)
+        perm = data.draw(st.permutations(range(n_banks)))
+        shuffled = PanelDataset(tuple(ds.entities[i] for i in perm), ds.periods,
+                                {k: v[list(perm)] for k, v in ds.columns.items()})
+        try:
+            a = fit_system(ds)
+        except EstimationError:
+            assume(False)  # too few rows left: nothing to compare
+        b = fit_system(shuffled)
+        for fa, fb in zip(a.fits, b.fits):
+            np.testing.assert_allclose(fb.coefficients, fa.coefficients, rtol=0,
+                                       atol=1e-10 * np.abs(fa.coefficients).max())
+            assert fb.n_obs == fa.n_obs

@@ -372,6 +372,16 @@ class TestLoadBalanceSheets:
     def test_negative_amount_rejected(self, tmp_path):
         with pytest.raises(DataError, match="common_equity must be a non-negative"):
             load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW.replace(",100,", ",-100,", 1)))
+        bad = BS_ROW.replace("B01", "B02").replace(",100,", ",-100,", 1)
+        with pytest.raises(DataError, match=r"in\.csv:3: B02 2014: component common_equity "
+                                            r"must be a non-negative"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW, bad))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_amount_names_the_line(self, tmp_path, value):
+        bad = BS_ROW.replace("B01", "B02").replace(",850", f",{value}")
+        with pytest.raises(DataError, match=r"in\.csv:3: B02 2014: component rwa must be"):
+            load_balance_sheets(write(tmp_path, BS_HEADER, BS_ROW, bad))
 
 
 class TestLoadPositions:
@@ -427,3 +437,10 @@ class TestLoadPositions:
     def test_blank_required_cell(self, tmp_path):
         with pytest.raises(DataError, match=r"in\.csv:2: blank cell in required column 'cet1_ratio_pct'"):
             load_positions(write(tmp_path, POS_HEADER, POS_ROW.replace(",7.0,", ",,")))
+
+    @pytest.mark.parametrize("value", ["-7.0", "nan", "inf"])
+    def test_bad_amount_names_the_line(self, tmp_path, value):
+        bad = POS_ROW.replace("2019", "2018").replace(",7.0,", f",{value},")
+        with pytest.raises(DataError, match=r"in\.csv:3: B01 2018: cet1_ratio_pct must be "
+                                            r"non-negative"):
+            load_positions(write(tmp_path, POS_HEADER, POS_ROW, bad))
