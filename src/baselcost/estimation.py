@@ -50,7 +50,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .errors import DataError, EstimationError
-from .panel import PanelDataset
+from .panel import PanelDataset, entity_demean
 
 log = logging.getLogger(__name__)
 
@@ -255,14 +255,13 @@ class _Rows:
     def demeaned(self, name: str) -> np.ndarray:
         """Column `name` at the rows less each entity's mean over its rows."""
         if name not in self._demeaned:
-            v = self.values(name)
-            sums = np.bincount(self.ent_code, weights=v, minlength=self.n_ent)
-            self._demeaned[name] = v - (sums / self.counts)[self.ent_code]
+            self._demeaned[name] = entity_demean(self.values(name), self.ent_code, self.counts)
         return self._demeaned[name]
 
 
-def _check_rank(Z: np.ndarray, names: Sequence[str]) -> None:
-    svals = np.linalg.svd(Z, compute_uv=False)
+def _check_rank(Z: np.ndarray, svals: np.ndarray, names: Sequence[str]) -> None:
+    """Raise naming the collinear columns if Z's singular values `svals`
+    (largest first) fall below RANK_RTOL relative to the largest."""
     if svals[0] == 0 or svals[-1] / svals[0] < RANK_RTOL:
         _, _, vh = np.linalg.svd(Z)
         load = np.abs(vh[-1])
@@ -370,8 +369,8 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
             n_params = k
         y_reg = y
 
-    _check_rank(Z, names)
-    theta, *_ = np.linalg.lstsq(Z, y_reg, rcond=None)
+    theta, _, _, svals = np.linalg.lstsq(Z, y_reg, rcond=None)
+    _check_rank(Z, svals, names)
     resid = y_reg - Z @ theta
     ssr = float(resid @ resid)
     df = n - n_params

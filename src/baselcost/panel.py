@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._bankyear import read_bank_years
 from .errors import DataError
 
 TRANSFORMS = ("none", "log")
@@ -207,71 +208,29 @@ def load_schema(path: str) -> list[VariableSpec]:
 def load_panel(path: str, schema: Sequence[VariableSpec]) -> PanelDataset:
     """Load a wide-format CSV into a PanelDataset.
 
-    The header must start with `bank_id,year`; every variable declared in
-    `schema` must be present. Transforms declared in the schema are NOT
-    applied here (raw storage); use apply_transform afterwards.
+    Every column besides bank_id and year is read, blank cells as missing;
+    every variable declared in `schema` must be present. Transforms declared
+    in the schema are NOT applied here (raw storage); use apply_transform
+    afterwards.
 
-    Raises DataError on duplicate (bank_id, year) keys, unparseable cells,
-    or missing declared columns, naming the offending location.
+    Raises DataError on duplicate (bank_id, year) keys, unparseable or
+    infinite cells, or missing declared columns, naming the offending line.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open panel file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if header[:2] != ["bank_id", "year"]:
-            raise DataError(f"{path}: header must start with 'bank_id,year', got {header[:2]}")
-        var_names = header[2:]
-        if len(set(var_names)) != len(var_names):
-            raise DataError(f"{path}: duplicate column names in header")
-        declared = [s.name for s in schema]
-        missing_cols = [n for n in declared if n not in var_names]
-        if missing_cols:
-            raise DataError(f"{path}: declared column(s) missing from header: {missing_cols}")
+    e_index: dict[str, int] = {}  # entity -> matrix row, in order of first appearance
+    row_year: list[int] = []
+    values = array("d")  # row-major cells, one row per CSV row
 
-        e_index: dict[str, int] = {}  # entity -> matrix row, in order of first appearance
-        seen: set[tuple[str, int]] = set()
-        row_entity: list[int] = []
-        row_year: list[int] = []
-        values = array("d")  # row-major cells, one row per CSV row
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            bank = row[0].strip()
-            if not bank:
-                raise DataError(f"{path}:{lineno}: empty bank_id")
-            try:
-                year = int(row[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: year {row[1]!r} is not an integer"
-                ) from None
-            key = (bank, year)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
-            seen.add(key)
-            for col_name, cell in zip(var_names, row[2:]):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    cell = cell.strip()
-                    if cell:
-                        raise DataError(
-                            f"{path}:{lineno}: cannot parse value {cell!r} in column {col_name!r}"
-                        ) from None
-                    values.append(math.nan)
-            row_entity.append(e_index.setdefault(bank, len(e_index)))
-            row_year.append(year)
+    def add_row(bank: str, year: int, *cells: float) -> int:
+        if math.inf in cells or -math.inf in cells:
+            raise DataError("infinite value; panel cells must be finite or blank")
+        values.extend(cells)
+        row_year.append(year)
+        return e_index.setdefault(bank, len(e_index))
+
+    var_names, row_entity = read_bank_years(path, None, (), math.nan, add_row)
+    missing_cols = [s.name for s in schema if s.name not in var_names]
+    if missing_cols:
+        raise DataError(f"{path}:1: declared column(s) missing from header: {missing_cols}")
 
     ordered_periods = tuple(sorted(set(row_year)))
     ei = np.array(row_entity, dtype=np.intp)
@@ -336,6 +295,16 @@ def derive_series(ds: PanelDataset, recipe: DerivedSeriesRecipe) -> PanelDataset
     return ds.with_column(recipe.output, out)
 
 
+def entity_demean(values: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's value less its entity's mean over its rows.
+
+    codes[r] is the entity of row r, and counts[e] the number of rows of
+    entity e, so every entity needs at least one row.
+    """
+    sums = np.bincount(codes, weights=values, minlength=counts.size)
+    return values - (sums / counts)[codes]
+
+
 def within_demean(ds: PanelDataset, columns: Sequence[str]) -> PanelDataset:
     """Subtract each entity's own mean (over its observed periods) in place.
 
@@ -345,17 +314,18 @@ def within_demean(ds: PanelDataset, columns: Sequence[str]) -> PanelDataset:
     """
     out = ds
     for name in columns:
-        mat = np.array(ds.column(name))
-        counts = np.sum(~np.isnan(mat), axis=1)
+        mat = ds.column(name)
+        observed = ~np.isnan(mat)
+        counts = observed.sum(axis=1)
         thin = np.nonzero(counts < 2)[0]
         if thin.size:
             raise DataError(
                 f"entity {ds.entities[int(thin[0])]!r} has fewer than 2 observed "
                 f"periods in column {name!r}; cannot demean"
             )
-        with np.errstate(invalid="ignore"):
-            means = np.nanmean(mat, axis=1, keepdims=True)
-        out = out.with_column(name, mat - means)
+        demeaned = np.full(mat.shape, np.nan)
+        demeaned[observed] = entity_demean(mat[observed], np.nonzero(observed)[0], counts)
+        out = out.with_column(name, demeaned)
     return out
 
 

@@ -21,13 +21,13 @@ changes: each +1 pp of NSFR maps to -0.46 pp of L/D.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, fields
 
+from ._bankyear import read_bank_years
 from .errors import DataError, NegativeTceWarning
 
 LTD_PER_NSFR_PP = -0.46  # loans-to-deposits response per +1pp NSFR (Wong et al. 2010)
@@ -395,79 +395,6 @@ BALANCE_SHEET_COLUMNS = tuple(
 POSITION_COLUMNS = _float_fields(CapitalPosition)
 
 
-def _read_rows(
-    path: str, record: type, columns: tuple[str, ...], required: tuple[str, ...]
-) -> list:
-    """One record(bank_id, year, *columns) per data row, in file order.
-
-    Every row must have the header's field count and a unique (bank_id,
-    year); a required column must be in the header and non-blank in every
-    row. Other columns that are absent or blank read as 0.0. A DataError
-    from the record's own checks is re-raised naming the row's path:line.
-    """
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}:1: empty file, expected a header row")
-        names = [n.strip() for n in header]
-        if "bank_id" not in names or "year" not in names:
-            raise DataError(f"{path}:1: header must include bank_id and year")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}:1: duplicate column names in header")
-        missing = [c for c in required if c not in names]
-        if missing:
-            raise DataError(f"{path}:1: missing required column(s): {missing}")
-        bank_at, year_at = names.index("bank_id"), names.index("year")
-        # (record slot, field index, column, required) for each column present
-        cells = [(2 + k, names.index(c), c, c in required)
-                 for k, c in enumerate(columns) if c in names]
-        zeros = [0.0] * len(columns)
-        seen: set[tuple[str, int]] = set()
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
-                )
-            bank = row[bank_at].strip()
-            if not bank:
-                raise DataError(f"{path}:{lineno}: empty bank_id")
-            try:
-                year = int(row[year_at])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad year {row[year_at]!r}") from None
-            key = (bank, year)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate observation for {key}")
-            seen.add(key)
-            rec = [bank, year, *zeros]
-            for slot, i, col, req in cells:
-                try:
-                    rec[slot] = float(row[i])
-                except ValueError:
-                    cell = row[i].strip()
-                    if cell:
-                        raise DataError(
-                            f"{path}:{lineno}: cannot parse {cell!r} in column {col!r}"
-                        ) from None
-                    if req:
-                        raise DataError(
-                            f"{path}:{lineno}: blank cell in required column {col!r}"
-                        ) from None
-            try:
-                records.append(record(*rec))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    return records
-
-
 def load_balance_sheets(path: str, require_rwa: bool = True) -> list[BalanceSheetSnapshot]:
     """Read balance-sheet CSV rows into snapshots.
 
@@ -478,9 +405,9 @@ def load_balance_sheets(path: str, require_rwa: bool = True) -> list[BalanceShee
     """
     optional = ("intangibles", "goodwill") + (() if require_rwa else ("rwa",))
     required = tuple(c for c in BALANCE_SHEET_COLUMNS if c not in optional)
-    return _read_rows(path, BalanceSheetSnapshot, BALANCE_SHEET_COLUMNS, required)
+    return read_bank_years(path, BALANCE_SHEET_COLUMNS, required, 0.0, BalanceSheetSnapshot)[1]
 
 
 def load_positions(path: str) -> list[CapitalPosition]:
     """Read capital-position CSV rows (header: bank_id,year,<POSITION_COLUMNS>)."""
-    return _read_rows(path, CapitalPosition, POSITION_COLUMNS, POSITION_COLUMNS)
+    return read_bank_years(path, POSITION_COLUMNS, POSITION_COLUMNS, 0.0, CapitalPosition)[1]

@@ -1,0 +1,114 @@
+"""One ingest contract for the three bank-year CSV loaders.
+
+load_panel, load_balance_sheets and load_positions read the same file
+format through one reader, so the same fault gives the same `path:line:`
+message whichever loader meets it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from baselcost import DataError, VariableSpec, load_panel
+from baselcost.cli import main
+from baselcost.ratios import (
+    BALANCE_SHEET_COLUMNS,
+    POSITION_COLUMNS,
+    load_balance_sheets,
+    load_positions,
+)
+
+PANEL_COLUMNS = ("roe", "liq")
+
+LOADERS = {
+    "panel": (lambda path: load_panel(path, [VariableSpec("roe")]), PANEL_COLUMNS),
+    "balance_sheets": (load_balance_sheets, BALANCE_SHEET_COLUMNS),
+    "positions": (load_positions, POSITION_COLUMNS),
+}
+
+
+def header(columns):
+    return ",".join(("bank_id", "year", *columns))
+
+
+def row(columns, bank="B01", year="2014", last="1"):
+    return ",".join((bank, year, *["1"] * (len(columns) - 1), last))
+
+
+def write(tmp_path, lines):
+    path = tmp_path / "in.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+# name -> columns -> (file lines, faulty line, message after "path:line: ")
+CASES = {
+    "empty file": lambda c: ([], 1, "empty file, expected a header row"),
+    "header without keys": lambda c: (
+        [header(c).replace("year", "yr"), row(c)], 1,
+        "header must include bank_id and year"),
+    "repeated header column": lambda c: (
+        [header(c) + f",{c[0]}", row(c) + ",1"], 1, "duplicate column names in header"),
+    "ragged row": lambda c: (
+        [header(c), row(c), row(c, bank="B02") + ",1"], 3,
+        f"expected {len(c) + 2} fields, got {len(c) + 3}"),
+    "empty bank_id": lambda c: ([header(c), row(c), row(c, bank=" ")], 3, "empty bank_id"),
+    "bad year": lambda c: ([header(c), row(c), row(c, year="20x4")], 3, "bad year '20x4'"),
+    "unparseable cell": lambda c: (
+        [header(c), row(c), row(c, bank="B02", last=" 8.5.0 ")], 3,
+        f"cannot parse '8.5.0' in column '{c[-1]}'"),
+    "duplicate key": lambda c: (
+        [header(c), row(c), row(c)], 3, "duplicate observation for ('B01', 2014)"),
+    "blank line before the bad row": lambda c: (
+        [header(c), row(c), "", row(c)], 4, "duplicate observation for ('B01', 2014)"),
+    "whitespace-only line before the bad row": lambda c: (
+        [header(c), "  ", row(c), " , ", row(c)], 5,
+        "duplicate observation for ('B01', 2014)"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("loader", LOADERS)
+def test_same_fault_same_message(tmp_path, loader, case):
+    load, columns = LOADERS[loader]
+    lines, lineno, message = CASES[case](columns)
+    path = write(tmp_path, lines)
+    with pytest.raises(DataError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_keys_may_sit_in_any_column(tmp_path, loader):
+    load, columns = LOADERS[loader]
+    first = load(write(tmp_path, [header(columns), row(columns)]))
+    moved = (tmp_path / "moved.csv")
+    moved.write_text(",".join((*columns[:1], "year", *columns[1:], "bank_id")) + "\n"
+                     + ",".join(("1", "2014", *["1"] * (len(columns) - 1), "B01")) + "\n")
+    again = load(str(moved))
+    if loader == "panel":
+        assert (again.entities, again.periods) == (first.entities, first.periods)
+        assert list(again.columns) == list(first.columns)
+        for name in first.columns:
+            np.testing.assert_array_equal(again.column(name), first.column(name))
+    else:
+        assert again == first
+
+
+class TestPanelCells:
+    @pytest.mark.parametrize("value", ["inf", "-inf", " -Infinity "])
+    def test_infinite_cell_names_the_line(self, tmp_path, value):
+        path = write(tmp_path, ["bank_id,year,roe", "B01,2012,1.5", f"B01,2013,{value}"])
+        with pytest.raises(DataError, match=r"in\.csv:3: infinite value"):
+            load_panel(path, [VariableSpec("roe")])
+
+    def test_infinite_cell_exits_2_through_the_cli(self, tmp_path, capsys):
+        path = write(tmp_path, ["bank_id,year,roe", "B01,2012,1.5", "B01,2013,inf"])
+        assert main(["unitroot", "--panel", path, "--vars", "roe"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: infinite value")
+
+    def test_nan_literal_reads_as_missing(self, tmp_path):
+        path = write(tmp_path, ["bank_id,year,roe", "B01,2012,nan", "B01,2013,", "B01,2014,2"])
+        roe = load_panel(path, [VariableSpec("roe")]).column("roe")
+        assert [math.isnan(v) for v in roe[0]] == [True, True, False]
