@@ -6,6 +6,7 @@ Standard library only, so that `ratios` imports without numpy.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from typing import Callable, Sequence
 
@@ -34,8 +35,8 @@ def read_bank_years(
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(fh)
+    with fh, _text_faults(path, reader):
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}:1: empty file, expected a header row")
@@ -94,3 +95,22 @@ def read_bank_years(
             except DataError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return tuple(columns), records
+
+
+@contextlib.contextmanager
+def _text_faults(path: str, reader):
+    """Re-raise bytes that are not UTF-8, and faults of the csv module itself
+    (such as a field over its size limit), as a DataError naming path:line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line = 1  # the text layer decodes in blocks: find the line again
+        with open(path, "rb") as fh:
+            for line, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None

@@ -67,7 +67,7 @@ def newey_west_auto_bandwidth(n_periods: int) -> int:
     return int(math.floor(4.0 * (n_periods / 100.0) ** (2.0 / 9.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegressionSpec:
     """What to regress on what, and how to build the covariance.
 
@@ -102,7 +102,7 @@ class RegressionSpec:
             raise DataError(f"cov_type must be one of {COV_TYPES}, got {self.cov_type!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     """Estimates, covariance, and diagnostics for one regression."""
 

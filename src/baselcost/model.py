@@ -25,11 +25,10 @@ lgdp (= lending - gdp), roe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -59,7 +58,7 @@ _COEFFICIENTS = tuple(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientSet:
     """Coefficients of the three long-run equations plus their provenance.
 
@@ -139,7 +138,7 @@ PAPER_PRESET = CoefficientSet(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioInput:
     """A capital/liquidity shock in percentage points.
 
@@ -165,17 +164,41 @@ class ScenarioInput:
             raise DataError("delta_lgdp is only meaningful in exogenous mode")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioResult:
     """Propagated responses. delta_spread is in percentage points; the
-    lending/ROE responses are log-point responses read as percent."""
+    lending/ROE responses are log-point responses read as percent.
+
+    `terms` holds every coefficient times driver response, equation by
+    equation in EQUATIONS order (GDP terms dropped); `mode` is the shock's
+    mode. `trace` is built from them on each access.
+    """
 
     delta_spread: float
     delta_lending: float
     delta_lgdp: float
     delta_roe: float
     provenance: str
-    trace: tuple[dict, ...]
+    terms: tuple[float, ...]
+    mode: str
+
+    @property
+    def trace(self) -> tuple[dict, ...]:
+        """One dict per step: step, formula, terms (key -> value) and value.
+
+        Fresh dicts on every access, so editing them cannot change the result.
+        """
+        values = (self.delta_lgdp, *self.terms)
+        mode = self.mode
+        trace = []
+        for step, formula, items, field in _TRACE_STEPS:
+            # plain loops: for one to three terms they beat zip and comprehensions
+            terms = {}
+            for key, i in items:
+                terms[key] = values[i]
+            trace.append({"step": step, "formula": formula[mode], "terms": terms,
+                          "value": getattr(self, field)})
+        return tuple(trace)
 
     def to_dict(self) -> dict:
         return {
@@ -206,6 +229,25 @@ _SCENARIO_STEPS = tuple(
 )
 
 
+def _trace_steps() -> tuple:
+    """(step, formula by mode, ((term key, index), ...), ScenarioResult field)
+    per trace step. Indices point into `(delta_lgdp, *terms)`: each equation
+    reads its own products, the lending-to-GDP step the lgdp response."""
+    index = itertools.count(1)
+    steps = []
+    for eq, formula, terms in _SCENARIO_STEPS:
+        steps.append((eq, dict.fromkeys(SCENARIO_MODES, formula),
+                      tuple((key, next(index)) for _, key, _ in terms), f"delta_{eq}"))
+        if eq == "lending":
+            steps.append(("lending_to_gdp",
+                          {"chained": "d_lgdp = d_lending", "exogenous": "d_lgdp exogenous"},
+                          (("d_lgdp", 0),), "delta_lgdp"))
+    return tuple(steps)
+
+
+_TRACE_STEPS = _trace_steps()
+
+
 def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioResult:
     """Chain a capital/liquidity shock through the equations in table order.
 
@@ -215,32 +257,24 @@ def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioRes
     mode.
     """
     d = {"liq": shock.delta_liq, "cap": shock.delta_cap}
-    trace = []
-    for eq, formula, terms in _SCENARIO_STEPS:
-        values = {key: getattr(coeffs, field) * d[driver] for field, key, driver in terms}
-        # reduce starts from the first term: adding to 0.0 would turn -0.0 into 0.0
-        d[eq] = reduce(operator.add, values.values())
-        trace.append({"step": eq, "formula": formula, "terms": values, "value": d[eq]})
+    products = []
+    for eq, _, terms in _SCENARIO_STEPS:
+        total = None
+        for field, _, driver in terms:
+            product = getattr(coeffs, field) * d[driver]
+            products.append(product)
+            # the sum starts from the first term: adding to 0.0 would turn -0.0 into 0.0
+            total = product if total is None else total + product
+        d[eq] = total
         if eq == "lending":
-            chained = shock.mode == "chained"
-            d["lgdp"] = d["lending"] if chained else float(shock.delta_lgdp)
-            trace.append({
-                "step": "lending_to_gdp",
-                "formula": "d_lgdp = d_lending" if chained else "d_lgdp exogenous",
-                "terms": {"d_lgdp": d["lgdp"]},
-                "value": d["lgdp"],
-            })
+            d["lgdp"] = total if shock.mode == "chained" else float(shock.delta_lgdp)
     return ScenarioResult(
-        delta_spread=d["spread"],
-        delta_lending=d["lending"],
-        delta_lgdp=d["lgdp"],
-        delta_roe=d["roe"],
-        provenance=coeffs.provenance,
-        trace=tuple(trace),
+        d["spread"], d["lending"], d["lgdp"], d["roe"],
+        coeffs.provenance, tuple(products), shock.mode,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseInScenario:
     """Year-by-year scenario series plus the cumulative total."""
 
@@ -346,7 +380,7 @@ def simulate_panel(
     return PanelDataset(entities, periods, cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemFit:
     """Fitted system: the assembled coefficient set plus per-equation results."""
 

@@ -34,7 +34,7 @@ TRANSFORMS = ("none", "log")
 RECIPE_KINDS = ("spread", "real_rate", "ratio_log")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VariableSpec:
     """Declares one panel variable: its name, transform, and documentation."""
 
@@ -53,7 +53,7 @@ class VariableSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedSeriesRecipe:
     """Recipe for a derived column.
 
@@ -82,7 +82,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PanelDataset:
     """Rectangular bank-year panel.
 

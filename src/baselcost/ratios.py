@@ -39,7 +39,7 @@ def _float_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BalanceSheetSnapshot:
     """Per-bank-year balance-sheet components, all non-negative, one currency.
 
@@ -72,7 +72,7 @@ class BalanceSheetSnapshot:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NsfrWeights:
     """ASF/RSF weights; defaults are the December-2009 proposal constants."""
 
@@ -177,7 +177,7 @@ def nsfr_to_ltd_delta(delta_nsfr: float) -> float:
 # -- phase-in schedule -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YearRequirements:
     """One year's minima. Percent units except nsfr_min, which is a ratio."""
 
@@ -198,7 +198,7 @@ class YearRequirements:
     lcr_from_september: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseInSchedule:
     """Year-keyed transitional requirements, 2015 through 2019."""
 
@@ -248,7 +248,7 @@ BANGLADESH_SCHEDULE = PhaseInSchedule(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapitalPosition:
     """A bank's reported ratios for one year. Percent units; lcr/nsfr are ratios."""
 
@@ -270,7 +270,7 @@ class CapitalPosition:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequirementCheck:
     """Outcome of one requirement: required level, actual, shortfall, status."""
 
@@ -283,7 +283,7 @@ class RequirementCheck:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplianceReport:
     entity: str
     year: int
@@ -317,14 +317,6 @@ class ComplianceReport:
         }
 
 
-def _check(name: str, required: float, actual: float,
-           advisory: bool = False, note: str = "") -> RequirementCheck:
-    # comparisons are inclusive: meeting the floor exactly passes
-    shortfall = max(0.0, required - actual)
-    return RequirementCheck(name, required, actual, shortfall, actual >= required,
-                            advisory, note)
-
-
 def check_compliance(
     pos: CapitalPosition, sched: PhaseInSchedule = BANGLADESH_SCHEDULE
 ) -> ComplianceReport:
@@ -336,20 +328,23 @@ def check_compliance(
     overall verdict.
     """
     req, steady = sched.for_year(pos.year)
-    checks = (
-        _check("cet1", req.min_cet1_pct, pos.cet1_ratio_pct),
-        _check("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct),
-        _check("tier1", req.min_tier1_pct, pos.tier1_ratio_pct),
-        _check("total", req.min_total_pct, pos.total_car_pct),
-        _check("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct),
-        _check("leverage", req.leverage_min_pct, pos.leverage_pct, note=req.leverage_note),
-        _check("lcr", req.lcr_min_pct, pos.lcr * 100.0),
-        _check(
-            "nsfr", req.nsfr_min, pos.nsfr,
-            advisory=req.nsfr_from_september,
-            note="applies from September" if req.nsfr_from_september else "",
-        ),
+    nsfr_note = "applies from September" if req.nsfr_from_september else ""
+    rows = (  # name, required, actual, advisory, note
+        ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
+        ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
+        ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
+        ("total", req.min_total_pct, pos.total_car_pct, False, ""),
+        ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
+        ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
+        ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
+        ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
     )
+    # comparisons are inclusive: meeting the floor exactly passes
+    checks = tuple([
+        RequirementCheck(name, required, actual, max(0.0, required - actual),
+                         actual >= required, advisory, note)
+        for name, required, actual, advisory, note in rows
+    ])
     return ComplianceReport(pos.entity, pos.year, req.year, steady, checks)
 
 

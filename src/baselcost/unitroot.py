@@ -40,7 +40,7 @@ from .panel import PanelDataset
 CASE_LABEL = "panel-specific means"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitRootResult:
     variable: str
     rho_hat: float

@@ -37,8 +37,9 @@ def row(columns, bank="B01", year="2014", last="1"):
 
 
 def write(tmp_path, lines):
+    # a lone surrogate such as "\udcff" is written as that raw byte
     path = tmp_path / "in.csv"
-    path.write_text("".join(line + "\n" for line in lines))
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -65,6 +66,12 @@ CASES = {
     "whitespace-only line before the bad row": lambda c: (
         [header(c), "  ", row(c), " , ", row(c)], 5,
         "duplicate observation for ('B01', 2014)"),
+    "byte that is not UTF-8": lambda c: (
+        [header(c), row(c), row(c, bank="B02", last="1\udcff")], 3,
+        "not UTF-8 text (invalid start byte)"),
+    "field over the csv size limit": lambda c: (
+        [header(c), row(c), row(c, bank="B02", last="1" * 140_000)], 3,
+        "field larger than field limit (131072)"),
 }
 
 
@@ -107,6 +114,11 @@ class TestPanelCells:
         path = write(tmp_path, ["bank_id,year,roe", "B01,2012,1.5", "B01,2013,inf"])
         assert main(["unitroot", "--panel", path, "--vars", "roe"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:3: infinite value")
+
+    def test_byte_that_is_not_utf8_exits_2_through_the_cli(self, tmp_path, capsys):
+        path = write(tmp_path, ["bank_id,year,roe", "B01,2012,1.5", "B01,2013,\udcff"])
+        assert main(["unitroot", "--panel", path, "--vars", "roe"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: not UTF-8 text")
 
     def test_nan_literal_reads_as_missing(self, tmp_path):
         path = write(tmp_path, ["bank_id,year,roe", "B01,2012,nan", "B01,2013,", "B01,2014,2"])

@@ -3,6 +3,7 @@ simulation determinism, and system fitting."""
 
 import json
 import logging
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -192,6 +193,36 @@ class TestPropagation:
         res = propagate_shock(PAPER_PRESET, ScenarioInput(delta_liq=1.0))
         payload = json.dumps(res.to_dict())
         assert "delta_spread" in payload
+
+
+class TestCompactResult:
+    def test_result_is_hashable(self):
+        shock = ScenarioInput(delta_liq=0.7, delta_cap=1.3)
+        a, b = propagate_shock(PAPER_PRESET, shock), propagate_shock(PAPER_PRESET, shock)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_editing_the_trace_leaves_the_result_alone(self):
+        res = propagate_shock(PAPER_PRESET, ScenarioInput(delta_liq=0.7, delta_cap=1.3))
+        before = json.dumps(res.to_dict())
+        trace = res.trace
+        trace[0]["value"] = 99.0
+        trace[0]["terms"]["spread_liq*d_liq"] = 99.0
+        assert json.dumps(res.to_dict()) == before
+        assert res.trace[0]["value"] == res.delta_spread
+
+    def test_ten_thousand_results_stay_small(self):
+        # the trace dicts are built on access, not stored with each result
+        shocks = [ScenarioInput(delta_cap=i / 100.0, delta_liq=j / 100.0)
+                  for i in range(100) for j in range(100)]
+        tracemalloc.start()
+        try:
+            kept = [propagate_shock(PAPER_PRESET, s) for s in shocks]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 10_000
+        assert held < 8 * 2**20
 
 
 class TestPhaseIn:
