@@ -65,7 +65,8 @@ class BalanceSheetSnapshot:
     def __post_init__(self) -> None:
         for name in _float_fields(type(self)):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            # one comparison: false for negatives, infinities and NaN alike
+            if not 0.0 <= v < math.inf:
                 raise DataError(
                     f"{self.entity} {self.year}: component {name} must be a "
                     f"non-negative finite amount, got {v!r}"
@@ -264,7 +265,7 @@ class CapitalPosition:
     def __post_init__(self) -> None:
         for name in _float_fields(type(self)):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
+            if not 0.0 <= v < math.inf:
                 raise DataError(
                     f"{self.entity} {self.year}: {name} must be non-negative, got {v!r}"
                 )
@@ -285,36 +286,79 @@ class RequirementCheck:
 
 @dataclass(frozen=True, slots=True)
 class ComplianceReport:
-    entity: str
-    year: int
-    schedule_year: int
+    """A capital position checked against the requirements row for its year.
+
+    Only the position, the row that applied and the steady-state flag are
+    stored. `checks` and `overall_pass` are computed from them on each access,
+    so callers that never read the checks never pay for them.
+    """
+
+    position: CapitalPosition
+    requirements: YearRequirements
     steady_state: bool
-    checks: tuple[RequirementCheck, ...]
+
+    @property
+    def entity(self) -> str:
+        return self.position.entity
+
+    @property
+    def year(self) -> int:
+        return self.position.year
+
+    @property
+    def schedule_year(self) -> int:
+        return self.requirements.year
+
+    def _rows(self) -> list[tuple]:
+        """One tuple per requirement, in `RequirementCheck` field order.
+
+        Shortfalls are in the requirement's own units, floored at zero, and
+        comparisons are inclusive: meeting the floor exactly passes. The NSFR
+        requirement only binds from September of the schedule's first year,
+        so in that year it is advisory.
+        """
+        req, pos = self.requirements, self.position
+        nsfr_note = "applies from September" if req.nsfr_from_september else ""
+        table = (  # name, required, actual, advisory, note
+            ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
+            ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
+            ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
+            ("total", req.min_total_pct, pos.total_car_pct, False, ""),
+            ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
+            ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
+            ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
+            ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
+        )
+        return [
+            (name, required, actual, max(0.0, required - actual), actual >= required,
+             advisory, note)
+            for name, required, actual, advisory, note in table
+        ]
+
+    @property
+    def checks(self) -> tuple[RequirementCheck, ...]:
+        """One record per requirement, built fresh on each access."""
+        return tuple([RequirementCheck(*row) for row in self._rows()])
 
     @property
     def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.advisory)
+        """Every binding (non-advisory) requirement is met."""
+        return all(row[4] for row in self._rows() if not row[5])
 
     def to_dict(self) -> dict:
+        # the check dicts come straight from the rows: no record is built
+        rows = self._rows()
         return {
             "entity": self.entity,
             "year": self.year,
             "schedule_year": self.schedule_year,
             "steady_state": self.steady_state,
-            "overall_pass": self.overall_pass,
-            "checks": [
-                {
-                    "name": c.name,
-                    "required": c.required,
-                    "actual": c.actual,
-                    "shortfall": c.shortfall,
-                    "passed": c.passed,
-                    "advisory": c.advisory,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "overall_pass": all(row[4] for row in rows if not row[5]),
+            "checks": [dict(zip(_CHECK_KEYS, row)) for row in rows],
         }
+
+
+_CHECK_KEYS = tuple(f.name for f in fields(RequirementCheck))
 
 
 def check_compliance(
@@ -322,30 +366,10 @@ def check_compliance(
 ) -> ComplianceReport:
     """Check one capital position against the schedule for its year.
 
-    Shortfalls are reported in the requirement's own units, floored at zero.
-    The NSFR requirement only binds from September of the schedule's first
-    year, so in that year it is reported as advisory and does not affect the
-    overall verdict.
+    Outside the schedule's years the terminal rules apply and the report is
+    flagged `steady_state`. See `ComplianceReport` for the checks.
     """
-    req, steady = sched.for_year(pos.year)
-    nsfr_note = "applies from September" if req.nsfr_from_september else ""
-    rows = (  # name, required, actual, advisory, note
-        ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
-        ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
-        ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
-        ("total", req.min_total_pct, pos.total_car_pct, False, ""),
-        ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
-        ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
-        ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
-        ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
-    )
-    # comparisons are inclusive: meeting the floor exactly passes
-    checks = tuple([
-        RequirementCheck(name, required, actual, max(0.0, required - actual),
-                         actual >= required, advisory, note)
-        for name, required, actual, advisory, note in rows
-    ])
-    return ComplianceReport(pos.entity, pos.year, req.year, steady, checks)
+    return ComplianceReport(pos, *sched.for_year(pos.year))
 
 
 REQUIREMENT_FIELDS = (

@@ -105,8 +105,16 @@ def harris_tzavalis(ds: PanelDataset, column: str) -> UnitRootResult:
     """Run the test on one panel column.
 
     The column must be balanced (no missing cells) with at least 3 periods
-    and 2 entities. Deterministic and invariant to entity ordering.
+    and 2 entities, and the periods must be consecutive years: the moments
+    assume each transition spans one year. Deterministic and invariant to
+    entity ordering.
     """
+    for a, b in zip(ds.periods, ds.periods[1:]):
+        if b != a + 1:
+            raise DataError(
+                f"column {column!r}: the panel has a calendar gap, year {a + 1} "
+                f"is missing; Harris-Tzavalis needs consecutive years"
+            )
     mat = ds.column(column)
     if np.any(np.isnan(mat)):
         raise DataError(

@@ -176,6 +176,17 @@ class TestUnitroot:
         assert main(["unitroot", "--panel", str(p), "--vars", "x"]) == 2
         assert "balance" in capsys.readouterr().err
 
+    def test_calendar_gap_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "gap.csv"
+        p.write_text("bank_id,year,x\n" + "".join(
+            f"{b},{y},{v}\n" for b in ("B01", "B02")
+            for y, v in zip((2012, 2014, 2015), (1.0, 2.5, 2.0))
+        ))
+        assert main(["unitroot", "--panel", str(p), "--vars", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "year 2013 is missing" in captured.err
+
     def test_csv_format(self, panel_csv, capsys):
         assert main(["unitroot", "--panel", panel_csv, "--vars", "liq,cap",
                      "--format", "csv"]) == 0

@@ -1,9 +1,14 @@
 """Regulatory ratio tests: NSFR, TCE/RWA, schedule fidelity, compliance, CSV ingest."""
 
+import dataclasses
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baselcost import (
     BANGLADESH_SCHEDULE,
@@ -18,7 +23,7 @@ from baselcost import (
     nsfr_to_ltd_delta,
     required_deltas,
 )
-from baselcost.ratios import load_balance_sheets, load_positions
+from baselcost.ratios import RequirementCheck, load_balance_sheets, load_positions
 
 WORKED = BalanceSheetSnapshot(
     "B01", 2014,
@@ -118,6 +123,25 @@ class TestNsfr:
     def test_negative_component_rejected(self):
         with pytest.raises(DataError, match="non-negative"):
             BalanceSheetSnapshot("B", 2014, common_equity=-1.0)
+
+
+# -0.0 and subnormals are finite and not below zero; NaN compares false
+ACCEPTED = [0.0, -0.0, 5e-324, sys.float_info.min, sys.float_info.max, 10**400]
+REJECTED = [-5e-324, -1.0, math.inf, -math.inf, math.nan]
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize("value", ACCEPTED)
+    def test_accepted(self, value):
+        assert BalanceSheetSnapshot("B", 2014, rwa=value).rwa == value
+        assert CapitalPosition("B", 2014, 0.0, 0.0, 0.0, 0.0, 0.0, value).nsfr == value
+
+    @pytest.mark.parametrize("value", REJECTED)
+    def test_rejected(self, value):
+        with pytest.raises(DataError, match="rwa must be a non-negative"):
+            BalanceSheetSnapshot("B", 2014, rwa=value)
+        with pytest.raises(DataError, match="nsfr must be non-negative"):
+            CapitalPosition("B", 2014, 0.0, 0.0, 0.0, 0.0, 0.0, value)
 
 
 class TestTceRwa:
@@ -243,6 +267,92 @@ class TestCompliance:
             report = check_compliance(pos)
             binding = [c for c in report.checks if not c.advisory]
             assert report.overall_pass == all(c.shortfall == 0.0 for c in binding)
+
+
+def eager_report(pos):
+    """The compliance table as built before reports computed their checks:
+    one RequirementCheck per row, then the report's to_dict()."""
+    req, steady = BANGLADESH_SCHEDULE.for_year(pos.year)
+    nsfr_note = "applies from September" if req.nsfr_from_september else ""
+    rows = (
+        ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
+        ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
+        ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
+        ("total", req.min_total_pct, pos.total_car_pct, False, ""),
+        ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
+        ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
+        ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
+        ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
+    )
+    checks = tuple(
+        RequirementCheck(name, required, actual, max(0.0, required - actual),
+                         actual >= required, advisory, note)
+        for name, required, actual, advisory, note in rows
+    )
+    return checks, {
+        "entity": pos.entity,
+        "year": pos.year,
+        "schedule_year": req.year,
+        "steady_state": steady,
+        "overall_pass": all(c.passed for c in checks if not c.advisory),
+        "checks": [dataclasses.asdict(c) for c in checks],
+    }
+
+
+def floor_values(*names, scale=1.0):
+    """Every schedule floor of the named requirements, in the position's units."""
+    return sorted({getattr(r, n) / scale for r in BANGLADESH_SCHEDULE.years for n in names})
+
+
+def amounts(floors):
+    """Exactly on a floor, one ulp either side of it, or anywhere in range."""
+    on_floor = st.sampled_from(floors)
+    return st.one_of(
+        on_floor,
+        on_floor.map(lambda v: math.nextafter(v, math.inf)),
+        on_floor.map(lambda v: math.nextafter(v, 0.0)),
+        st.floats(0.0, 2.0 * max(floors)),
+    )
+
+
+positions = st.builds(
+    CapitalPosition,
+    st.sampled_from(["B01", "B02"]),
+    st.integers(2010, 2025),
+    amounts(floor_values("min_cet1_pct", "cet1_plus_buffer_pct")),
+    amounts(floor_values("min_tier1_pct")),
+    amounts(floor_values("min_total_pct", "total_plus_buffer_pct")),
+    amounts(floor_values("leverage_min_pct")),
+    amounts(floor_values("lcr_min_pct", scale=100.0)),
+    amounts(floor_values("nsfr_min")),
+)
+
+
+class TestComplianceReportProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(positions)
+    def test_matches_eager_table(self, pos):
+        report = check_compliance(pos)
+        checks, expected = eager_report(pos)
+        assert report.to_dict() == expected
+        assert report.checks == checks
+        assert report.overall_pass == all(c.passed for c in report.checks if not c.advisory)
+        assert (report.entity, report.year) == (pos.entity, pos.year)
+        assert report.position is pos
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(positions)
+    def test_equal_and_hash_alike_from_one_position(self, pos):
+        a, b = check_compliance(pos), check_compliance(dataclasses.replace(pos))
+        assert a == b and hash(a) == hash(b)
+        assert a.checks == b.checks and a.checks is not a.checks
+
+    def test_checks_are_read_only(self):
+        report = check_compliance(position(2019, 7.0, 9.0, 12.5, 3.0, 1.0, 1.01))
+        # TypeError, not AttributeError, on Python 3.11 (see README "Result objects")
+        for name in ("checks", "entity", "year", "schedule_year", "overall_pass"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(report, name, None)
 
 
 class TestRequiredDeltas:

@@ -58,6 +58,13 @@ class TestContracts:
         with pytest.raises(DataError, match="balance"):
             harris_tzavalis(panel_from(levels), "y")
 
+    def test_calendar_gap_names_first_missing_year(self):
+        levels = np.random.default_rng(7).normal(0, 1, (6, 4)).cumsum(axis=1)
+        ds = PanelDataset(tuple(f"E{i}" for i in range(6)), (2010, 2012, 2013, 2015),
+                          {"y": levels})
+        with pytest.raises(DataError, match="year 2011 is missing"):
+            harris_tzavalis(ds, "y")
+
     def test_too_few_periods(self):
         with pytest.raises(DataError, match="3 periods"):
             ht_statistic(np.ones((5, 2)))
