@@ -9,7 +9,8 @@ Five subcommands tie the toolkit together:
     simulate  shock scenarios, schedule series, synthetic panel generation
 
 Exit codes are a stable contract: 0 success, 2 input or configuration
-error, 3 estimation error. Output formats: aligned text (default), json
+error (an output file that cannot be written included), 3 estimation
+error. Output formats: aligned text (default), json
 (full precision, deterministic byte-for-byte for identical invocations),
 or csv where a flat table makes sense. No environment variables are read;
 flags only, for reproducibility.
@@ -26,29 +27,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import DataError, EstimationError
-from .estimation import RegressionSpec, fit_within_dk
-from .model import (
-    EQUATIONS,
-    ScenarioInput,
-    fit_system,
-    phase_in_scenario,
-    propagate_shock,
-    resolve_coefficients,
-    simulate_panel,
-)
-from .panel import load_panel, load_schema, write_panel
-from .ratios import (
-    BANGLADESH_SCHEDULE,
-    NsfrWeights,
-    REQUIREMENT_FIELDS,
-    check_compliance,
-    compute_nsfr,
-    compute_tce_rwa,
-    load_balance_sheets,
-    load_positions,
-    required_deltas,
-)
-from .unitroot import harris_tzavalis
+from .model import EQUATIONS
 
 
 def _render(args, payload, text: str, table=None) -> int:
@@ -83,6 +62,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _read_panel(args):
+    from .panel import load_panel, load_schema
     schema = load_schema(args.schema) if args.schema else []
     return load_panel(args.panel, schema)
 
@@ -91,6 +71,7 @@ def _read_panel(args):
 
 
 def cmd_ratios(args) -> int:
+    from .ratios import NsfrWeights, compute_nsfr, compute_tce_rwa, load_balance_sheets
     weights = NsfrWeights.from_json(args.weights) if args.weights else NsfrWeights()
     sheets = load_balance_sheets(args.balance_sheets, require_rwa=args.tce)
     rows = []
@@ -123,6 +104,8 @@ def _parse_year_range(text: str) -> tuple[int, int]:
 
 
 def cmd_phasein(args) -> int:
+    from .ratios import (BANGLADESH_SCHEDULE, REQUIREMENT_FIELDS, check_compliance,
+                         load_positions, required_deltas)
     if args.deltas:
         frm, to = _parse_year_range(args.deltas)
         deltas = required_deltas(frm, to)
@@ -171,6 +154,7 @@ def cmd_phasein(args) -> int:
 
 
 def cmd_unitroot(args) -> int:
+    from .unitroot import harris_tzavalis
     ds = _read_panel(args)
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
@@ -203,6 +187,10 @@ def _resolve_lags(value: str | None, default: int | str) -> int | str:
 
 
 def cmd_fit(args) -> int:
+    from .estimation import RegressionSpec, fit_within_dk
+    from .model import fit_system
+    if args.coeffs_out and args.model != "all":
+        raise DataError("--coeffs-out needs --model all")
     ds = _read_panel(args)
     small_sample = not args.plain_cov
 
@@ -244,7 +232,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .model import (ScenarioInput, phase_in_scenario, propagate_shock,
+                        resolve_coefficients, simulate_panel)
+    from .ratios import BANGLADESH_SCHEDULE
     if args.make_panel:
+        from .panel import write_panel
         coeffs = resolve_coefficients(args.coeffs)
         ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
         if not args.out:
@@ -323,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ratios)
 
     p = sub.add_parser("phasein", help="phase-in schedule, compliance, deltas")
-    p.add_argument("--positions", help="capital-position CSV to check")
-    p.add_argument("--deltas", metavar="FROM:TO",
-                   help="print per-requirement changes between two years")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--positions", help="capital-position CSV to check")
+    which.add_argument("--deltas", metavar="FROM:TO",
+                       help="print per-requirement changes between two years")
     add_common(p)
     p.set_defaults(func=cmd_phasein)
 
@@ -386,6 +379,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # Input reads raise DataError, so an OSError naming a file is a write.
+        if exc.filename is None:
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

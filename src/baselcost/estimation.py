@@ -47,7 +47,6 @@ from itertools import groupby
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError, EstimationError
 from .panel import PanelDataset, entity_demean
@@ -417,6 +416,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
     if df >= 1:
+        from scipy.special import stdtr
         pvals = 2.0 * stdtr(df, -np.abs(tstat))
     else:
         pvals = np.full(kz, np.nan)

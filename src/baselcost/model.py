@@ -29,13 +29,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .estimation import FitResult, RegressionSpec, fit_within_dk_many
-from .panel import PanelDataset
 from .ratios import BANGLADESH_SCHEDULE, PhaseInSchedule
+
+if TYPE_CHECKING:
+    from .estimation import FitResult
+    from .panel import PanelDataset
 
 SYSTEM_COLUMNS = ("liq", "cap", "gdp", "spread", "lending", "lgdp", "roe")
 SCENARIO_MODES = ("chained", "exogenous")
@@ -356,6 +357,8 @@ def simulate_panel(
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise DataError(f"noise_sd must be a non-negative number, got {noise_sd!r}")
 
+    import numpy as np
+    from .panel import PanelDataset
     rng = np.random.default_rng(seed)
     nb, ny = n_banks, n_years
     t_idx = np.arange(ny)
@@ -422,6 +425,7 @@ def fit_system(
     if missing:
         raise DataError(f"dataset lacks system column(s) {missing}; apply transforms first")
 
+    from .estimation import RegressionSpec, fit_within_dk_many
     specs = [
         RegressionSpec(
             dependent=eq,

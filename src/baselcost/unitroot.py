@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DataError, EstimationError
 from .panel import PanelDataset
@@ -98,6 +97,7 @@ def ht_statistic(levels: np.ndarray) -> tuple[float, float, float]:
     rho = math.fsum((reg_dm * dep_dm).ravel().tolist()) / denom
     mu, sigma = ht_moments(n_per - 1)
     z = float(np.sqrt(n_ent) * (rho - 1.0 - mu) / sigma)
+    from scipy.special import ndtr
     return rho, z, float(ndtr(z))
 
 

@@ -313,3 +313,51 @@ class TestFileOutput:
         main(["simulate", "--dliq", "1", "--format", "json", "--out", str(a)])
         main(["simulate", "--dliq", "1", "--format", "json", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutputWriteErrors:
+    """A failed output write exits 2 with one error line naming the path."""
+
+    def _assert_write_error(self, argv, path, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and str(path) in lines[0]
+        assert not path.exists()
+
+    def test_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "schedule.json"
+        self._assert_write_error(["phasein", "--format", "json", "--out", str(path)],
+                                 path, capsys)
+
+    def test_coeffs_out(self, panel_csv, tmp_path, capsys):
+        path = tmp_path / "missing" / "coeffs.json"
+        self._assert_write_error(["fit", "--panel", panel_csv, "--model", "all",
+                                  "--coeffs-out", str(path)], path, capsys)
+
+    def test_make_panel_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "panel.csv"
+        self._assert_write_error(["simulate", "--make-panel", "--banks", "4", "--years", "4",
+                                  "--out", str(path)], path, capsys)
+
+
+class TestRefusedFlags:
+    def test_coeffs_out_needs_model_all(self, panel_csv, tmp_path, capsys):
+        path = tmp_path / "coeffs.json"
+        assert main(["fit", "--panel", panel_csv, "--model", "spread",
+                     "--coeffs-out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--coeffs-out needs --model all" in captured.err
+        assert not path.exists()
+
+    def test_positions_and_deltas_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phasein", "--positions", str(tmp_path / "pos.csv"),
+                  "--deltas", "2015:2019"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --positions" in captured.err
