@@ -9,8 +9,8 @@ Five subcommands tie the toolkit together:
     simulate  shock scenarios, schedule series, synthetic panel generation
 
 Exit codes are a stable contract: 0 success, 2 input or configuration
-error (an output file that cannot be written included), 3 estimation
-error. Output formats: aligned text (default), json
+error (an output file that cannot be written, or a closed stdout,
+included), 3 estimation error. Output formats: aligned text (default), json
 (full precision, deterministic byte-for-byte for identical invocations),
 or csv where a flat table makes sense. No environment variables are read;
 flags only, for reproducibility.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from typing import Sequence
@@ -46,7 +47,7 @@ def _render(args, payload, text: str, table=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body if body.endswith("\n") else body + "\n")
     else:
-        print(body)
+        print(body, flush=True)
     return 0
 
 
@@ -379,6 +380,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point fd 1 at devnull so that the
+        # interpreter's final flush of what is left buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write stdout: Broken pipe", file=sys.stderr)
+        return 2
     except OSError as exc:
         # Input reads raise DataError, so an OSError naming a file is a write.
         if exc.filename is None:

@@ -97,8 +97,7 @@ def ht_statistic(levels: np.ndarray) -> tuple[float, float, float]:
     rho = math.fsum((reg_dm * dep_dm).ravel().tolist()) / denom
     mu, sigma = ht_moments(n_per - 1)
     z = float(np.sqrt(n_ent) * (rho - 1.0 - mu) / sigma)
-    from scipy.special import ndtr
-    return rho, z, float(ndtr(z))
+    return rho, z, 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def harris_tzavalis(ds: PanelDataset, column: str) -> UnitRootResult:

@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ BS_HEADER = (
     "corp_loans_lt_1y,retail_loans_lt_1y,other_assets,intangibles,goodwill,rwa"
 )
 WORKED_ROW = "B01,2014,100,50,0,200,100,100,300,100,100,10,5,850"
-BUNDLED_PANEL = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_panel.csv")
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED_PANEL = str(ROOT / "data" / "synthetic_panel.csv")
 
 
 @pytest.fixture
@@ -341,6 +345,20 @@ class TestOutputWriteErrors:
         path = tmp_path / "missing" / "panel.csv"
         self._assert_write_error(["simulate", "--make-panel", "--banks", "4", "--years", "4",
                                   "--out", str(path)], path, capsys)
+
+    def test_closed_stdout(self):
+        # stdout is a pipe whose read end is already closed, as in `| head -0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "baselcost.cli", "phasein"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                                  timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
 
 class TestRefusedFlags:

@@ -9,6 +9,7 @@ implementation.
 """
 
 import logging
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr
 
 from baselcost import (
     PAPER_PRESET,
@@ -443,6 +445,72 @@ class TestSmallSampleCovariance:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+T_GRID = (0.0, 1e-8, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0, 1e5)
+
+
+def t_pvalue_oracle(t, df):
+    """2 * P(T_df <= -|t|): scipy's stdtr, or for df = 1 the Cauchy closed
+    form, because stdtr(1, -t) is off by about 3e-9 near t = 1e-8."""
+    if df == 1:
+        return 2.0 / math.pi * math.atan2(1.0, abs(t))
+    return float(2.0 * stdtr(df, -abs(t)))
+
+
+class TestTPValue:
+    """estimation._t_pvalue against scipy, and its shape."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 10, 30, 100, 1000, 3997, 10**4,
+                                    10**5, 10**6])
+    def test_grid_matches_reference(self, df):
+        for t in T_GRID + tuple(np.linspace(0.05, 8.0, 160)):
+            ref = t_pvalue_oracle(t, df)
+            for signed in (t, -t):
+                got = estimation._t_pvalue(float(signed), df)
+                if ref < 1e-300:
+                    assert got < 1e-300, (df, signed, got)
+                else:
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0), (df, signed)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 3997, 10**6, 10**9])
+    def test_switch_point_matches_reference(self, df):
+        # The continued fraction changes form at t^2 = 3 df / (df + 2).
+        for step in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3):
+            t = math.sqrt(3.0 * df / (df + 2.0)) * (1.0 + step)
+            assert estimation._t_pvalue(t, df) == pytest.approx(
+                t_pvalue_oracle(t, df), rel=1e-12, abs=0), (df, step)
+
+    def test_non_finite_and_zero(self):
+        for df in (1, 7, 4000):
+            assert estimation._t_pvalue(math.inf, df) == 0.0
+            assert estimation._t_pvalue(-math.inf, df) == 0.0
+            assert math.isnan(estimation._t_pvalue(math.nan, df))
+            assert estimation._t_pvalue(0.0, df) == 1.0
+            assert estimation._t_pvalue(-0.0, df) == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10**6),
+           st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False))
+    def test_bounded_symmetric_and_falling_in_abs_t(self, df, t1, t2):
+        p1, p2 = estimation._t_pvalue(t1, df), estimation._t_pvalue(t2, df)
+        assert 0.0 <= p1 <= 1.0
+        assert estimation._t_pvalue(-t1, df) == p1
+        # Non-increasing up to the 1e-12 accuracy of either value.
+        if abs(t1) <= abs(t2):
+            assert p1 >= p2 * (1.0 - 1e-12)
+        else:
+            assert p2 >= p1 * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    def test_fit_p_values_match_scipy(self, fixed_effects):
+        rng = np.random.default_rng(11)
+        for n_ent, n_per in ((6, 4), (40, 5), (300, 3)):
+            ds = random_panel(rng, n_ent, n_per, 3)
+            fit = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1", "x2"),
+                                                   fixed_effects=fixed_effects))
+            want = 2.0 * stdtr(fit.df_resid, -np.abs(fit.t_stats))
+            np.testing.assert_allclose(fit.p_values, want, rtol=1e-12, atol=0)
 
 
 class TestPooledOls:

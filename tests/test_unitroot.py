@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from baselcost import DataError, EstimationError, PanelDataset, harris_tzavalis
@@ -42,6 +43,15 @@ class TestFrozenCase:
         assert rho == pytest.approx(0.0, abs=1e-15)
         assert z == pytest.approx(0.0, abs=1e-15)
         assert p == pytest.approx(0.5, abs=1e-15)
+
+    def test_left_tail_matches_ndtr(self):
+        # Two entities (0, 1, 1 + c) with m = 2 transitions: rho = c, mu = -1,
+        # sigma = 1, so z = sqrt(2) * c.
+        for z in np.linspace(-37.0, 37.0, 149):
+            c = z / math.sqrt(2.0)
+            _, got_z, p = ht_statistic([[0.0, 1.0, 1.0 + c], [0.0, 1.0, 1.0 + c]])
+            assert got_z == pytest.approx(z, rel=1e-9, abs=1e-12)
+            assert p == pytest.approx(float(ndtr(got_z)), rel=1e-12, abs=0), z
 
 
 class TestContracts:
