@@ -21,9 +21,8 @@ _EXPORTS = {
     "model": ("PAPER_PRESET", "CoefficientSet", "PhaseInScenario", "ScenarioInput",
               "ScenarioResult", "SystemFit", "fit_system", "phase_in_scenario",
               "propagate_shock", "simulate_panel"),
-    "panel": ("DerivedSeriesRecipe", "PanelDataset", "VariableSpec", "apply_transform",
-              "derive_series", "lag", "load_panel", "load_schema", "within_demean",
-              "write_panel"),
+    "panel": ("PanelDataset", "VariableSpec", "apply_transform", "load_panel",
+              "load_schema", "write_panel"),
     "ratios": ("BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
                "ComplianceReport", "NsfrWeights", "PhaseInSchedule", "check_compliance",
                "compute_nsfr", "compute_tce_rwa", "nsfr_to_ltd_delta",

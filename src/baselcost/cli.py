@@ -192,6 +192,10 @@ def cmd_fit(args) -> int:
     from .model import fit_system
     if args.coeffs_out and args.model != "all":
         raise DataError("--coeffs-out needs --model all")
+    if args.no_fe and args.model == "all":
+        raise DataError("--no-fe is not allowed with --model all, which always fits fixed effects")
+    if (args.dep or args.regressors) and args.model != "custom":
+        raise DataError("--dep and --regressors need --model custom")
     ds = _read_panel(args)
     small_sample = not args.plain_cov
 

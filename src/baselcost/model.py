@@ -387,7 +387,7 @@ def simulate_panel(
 class SystemFit:
     """Fitted system: the assembled coefficient set plus per-equation results."""
 
-    coefficients: CoefficientSet | None
+    coefficients: CoefficientSet
     spread_fit: FitResult
     lending_fit: FitResult
     roe_fit: FitResult
@@ -401,7 +401,6 @@ def fit_system(
     ds: PanelDataset,
     dk_bandwidth: int | str = 0,
     small_sample: bool = True,
-    roe_form: str = "estimated",
 ) -> SystemFit:
     """Fit the three equations by fixed-effects least squares with DK errors.
 
@@ -409,19 +408,8 @@ def fit_system(
     (post-transform). The default bandwidth is 0 rather than "auto": the
     target panels are only a few years long, too short to support kernel
     lags; pass "auto" or an explicit lag count to override.
-
-    roe_form "estimated" regresses ROE on lgdp, liq, cap (the form the
-    scenario engine consumes). roe_form "levels" is a sensitivity variant
-    regressing ROE on lending and spread; no CoefficientSet is assembled
-    for it because the scenario engine has no slot for those slopes.
     """
-    if roe_form not in ("estimated", "levels"):
-        raise DataError(f"roe_form must be 'estimated' or 'levels', got {roe_form!r}")
-    equations = dict(EQUATIONS)
-    if roe_form == "levels":
-        equations["roe"] = ("lending", "spread")
-    used = {c for eq, regs in equations.items() for c in (eq, *regs)}
-    missing = [c for c in SYSTEM_COLUMNS if c in used and c not in ds.columns]
+    missing = [c for c in SYSTEM_COLUMNS if c not in ds.columns]
     if missing:
         raise DataError(f"dataset lacks system column(s) {missing}; apply transforms first")
 
@@ -435,16 +423,15 @@ def fit_system(
             dk_bandwidth=dk_bandwidth,
             small_sample=small_sample,
         )
-        for eq, regs in equations.items()
+        for eq, regs in EQUATIONS
     ]
-    fits = dict(zip(equations, fit_within_dk_many(ds, specs)))
-    coeffs = None
-    if roe_form == "estimated":
-        coeffs = CoefficientSet(
-            **{name: fits[eq].coef(term) for eq, term, name in _COEFFICIENTS},
-            provenance="fitted",
-        )
-    return SystemFit(coeffs, *fits.values())
+    fits = fit_within_dk_many(ds, specs)
+    by_eq = {eq: fit for (eq, _), fit in zip(EQUATIONS, fits)}
+    coeffs = CoefficientSet(
+        **{name: by_eq[eq].coef(term) for eq, term, name in _COEFFICIENTS},
+        provenance="fitted",
+    )
+    return SystemFit(coeffs, *fits)
 
 
 def resolve_coefficients(source: str) -> CoefficientSet:

@@ -11,9 +11,8 @@ Input format is wide CSV, one row per (bank_id, year):
     B01,2010,12.5,1.02,0.091
     B01,2011,,1.05,0.094      <- empty cell = missing
 
-Variable transforms (logs), derived series (interest spread, real rate,
-log ratios), entity demeaning, and within-entity lags are provided as
-pure functions over datasets.
+Variable transforms (logs) and entity demeaning are provided as pure
+functions.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from ._bankyear import read_bank_years
 from .errors import DataError
 
 TRANSFORMS = ("none", "log")
-RECIPE_KINDS = ("spread", "real_rate", "ratio_log")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,29 +49,6 @@ class VariableSpec:
                 f"unknown transform {self.transform!r} for variable {self.name!r}; "
                 f"expected one of {TRANSFORMS}"
             )
-
-
-@dataclass(frozen=True, slots=True)
-class DerivedSeriesRecipe:
-    """Recipe for a derived column.
-
-    Kinds:
-      spread    -- inputs (r, i), output r - i
-      real_rate -- inputs (i, pi), output i - pi
-      ratio_log -- inputs (a, b), output log(a) - log(b); both must be positive
-    """
-
-    output: str
-    kind: str
-    inputs: tuple[str, str]
-
-    def __post_init__(self) -> None:
-        if self.kind not in RECIPE_KINDS:
-            raise DataError(f"unknown recipe kind {self.kind!r}; expected one of {RECIPE_KINDS}")
-        if len(self.inputs) != 2:
-            raise DataError(f"recipe {self.output!r} needs exactly 2 input columns")
-        if not self.output:
-            raise DataError("recipe output name must be non-empty")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -151,27 +126,6 @@ class PanelDataset:
         cols = dict(self.columns)
         cols[name] = np.asarray(values, dtype=float)
         return PanelDataset(self.entities, self.periods, cols)
-
-    def subset(
-        self,
-        entities: Sequence[str] | None = None,
-        periods: Sequence[int] | None = None,
-    ) -> "PanelDataset":
-        """Restrict to the given entities and/or periods (order preserved)."""
-        ents = tuple(entities) if entities is not None else self.entities
-        pers = tuple(periods) if periods is not None else self.periods
-        e_at = {e: i for i, e in enumerate(self.entities)}
-        p_at = {p: j for j, p in enumerate(self.periods)}
-        for e in ents:
-            if e not in e_at:
-                raise DataError(f"unknown entity {e!r}")
-        for p in pers:
-            if p not in p_at:
-                raise DataError(f"unknown period {p!r}")
-        ei = [e_at[e] for e in ents]
-        pi = [p_at[p] for p in pers]
-        cols = {n: m[np.ix_(ei, pi)] for n, m in self.columns.items()}
-        return PanelDataset(ents, pers, cols)
 
 
 # -- schema files ----------------------------------------------------------
@@ -260,19 +214,6 @@ def write_panel(ds: PanelDataset, path: str) -> None:
 # -- variable construction ---------------------------------------------------
 
 
-def _log_column(ds: PanelDataset, name: str) -> np.ndarray:
-    src = ds.column(name)
-    bad = (src <= 0) & ~np.isnan(src)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise DataError(
-            f"cannot take log of column {name!r}: value {src[i, j]} "
-            f"for entity {ds.entities[i]!r} in period {ds.periods[j]} is not positive"
-        )
-    with np.errstate(invalid="ignore"):
-        return np.where(np.isnan(src), np.nan, np.log(src))
-
-
 def apply_transform(ds: PanelDataset, spec: VariableSpec) -> PanelDataset:
     """Apply a declared transform; log adds `<name>__log` keeping the original.
 
@@ -282,17 +223,15 @@ def apply_transform(ds: PanelDataset, spec: VariableSpec) -> PanelDataset:
     """
     if spec.transform == "none":
         return ds
-    return ds.with_column(f"{spec.name}__log", _log_column(ds, spec.name))
-
-
-def derive_series(ds: PanelDataset, recipe: DerivedSeriesRecipe) -> PanelDataset:
-    """Construct a derived column; missing values propagate elementwise."""
-    a, b = (ds.column(n) for n in recipe.inputs)
-    if recipe.kind in ("spread", "real_rate"):
-        out = a - b
-    else:  # ratio_log
-        out = _log_column(ds, recipe.inputs[0]) - _log_column(ds, recipe.inputs[1])
-    return ds.with_column(recipe.output, out)
+    src = ds.column(spec.name)
+    bad = src <= 0
+    if np.any(bad):
+        i, j = map(int, np.argwhere(bad)[0])
+        raise DataError(
+            f"cannot take log of column {spec.name!r}: value {src[i, j]} "
+            f"for entity {ds.entities[i]!r} in period {ds.periods[j]} is not positive"
+        )
+    return ds.with_column(f"{spec.name}__log", np.log(src))
 
 
 def entity_demean(values: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -303,44 +242,3 @@ def entity_demean(values: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> 
     """
     sums = np.bincount(codes, weights=values, minlength=counts.size)
     return values - (sums / counts)[codes]
-
-
-def within_demean(ds: PanelDataset, columns: Sequence[str]) -> PanelDataset:
-    """Subtract each entity's own mean (over its observed periods) in place.
-
-    Every entity needs at least 2 observed periods per column, otherwise the
-    demeaned value carries no information and the caller almost certainly has
-    a data problem.
-    """
-    out = ds
-    for name in columns:
-        mat = ds.column(name)
-        observed = ~np.isnan(mat)
-        counts = observed.sum(axis=1)
-        thin = np.nonzero(counts < 2)[0]
-        if thin.size:
-            raise DataError(
-                f"entity {ds.entities[int(thin[0])]!r} has fewer than 2 observed "
-                f"periods in column {name!r}; cannot demean"
-            )
-        demeaned = np.full(mat.shape, np.nan)
-        demeaned[observed] = entity_demean(mat[observed], np.nonzero(observed)[0], counts)
-        out = out.with_column(name, demeaned)
-    return out
-
-
-def lag(ds: PanelDataset, column: str, k: int) -> PanelDataset:
-    """Add `<column>__lag<k>`: values shifted k periods within each entity.
-
-    The first k periods are missing; entity boundaries are never crossed.
-    """
-    if k < 1:
-        raise DataError(f"lag order must be >= 1, got {k}")
-    if k >= ds.n_periods:
-        raise DataError(
-            f"lag order {k} must be smaller than the number of periods ({ds.n_periods})"
-        )
-    src = ds.column(column)
-    out = np.full_like(src, np.nan)
-    out[:, k:] = src[:, :-k]
-    return ds.with_column(f"{column}__lag{k}", out)

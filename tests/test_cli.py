@@ -371,6 +371,21 @@ class TestRefusedFlags:
         assert "--coeffs-out needs --model all" in captured.err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "all", "--no-fe"], "--no-fe is not allowed with --model all"),
+        (["--model", "spread", "--dep", "roe", "--regressors", "liq"],
+         "--dep and --regressors need --model custom"),
+        (["--model", "all", "--dep", "roe"], "--dep and --regressors need --model custom"),
+        (["--model", "lending", "--regressors", "liq"],
+         "--dep and --regressors need --model custom"),
+    ])
+    def test_ignored_fit_flags_exit_2(self, panel_csv, argv, message, capsys):
+        assert main(["fit", "--panel", panel_csv, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_positions_and_deltas_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["phasein", "--positions", str(tmp_path / "pos.csv"),

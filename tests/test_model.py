@@ -333,12 +333,6 @@ class TestFitSystem:
         with pytest.raises(DataError, match="roe"):
             fit_system(broken)
 
-    def test_levels_sensitivity_form(self):
-        ds = simulate_panel(PAPER_PRESET, 8, 5, 0.02, seed=4)
-        system = fit_system(ds, roe_form="levels")
-        assert system.coefficients is None
-        assert system.roe_fit.param_names == ("const", "lending", "spread")
-
     def test_bandwidth_passthrough(self):
         ds = simulate_panel(PAPER_PRESET, 8, 5, 0.02, seed=5)
         system = fit_system(ds, dk_bandwidth="auto")

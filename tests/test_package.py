@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "CoefficientSet",
     "ComplianceReport",
     "DataError",
-    "DerivedSeriesRecipe",
     "EstimationError",
     "FitResult",
     "NegativeTceWarning",
@@ -43,11 +42,9 @@ PUBLIC_NAMES = [
     "check_compliance",
     "compute_nsfr",
     "compute_tce_rwa",
-    "derive_series",
     "fit_system",
     "fit_within_dk",
     "harris_tzavalis",
-    "lag",
     "load_panel",
     "load_schema",
     "newey_west_auto_bandwidth",
@@ -56,7 +53,6 @@ PUBLIC_NAMES = [
     "propagate_shock",
     "required_deltas",
     "simulate_panel",
-    "within_demean",
     "write_panel",
 ]
 
@@ -67,9 +63,8 @@ HOME = {
     "model": ["PAPER_PRESET", "CoefficientSet", "PhaseInScenario", "ScenarioInput",
               "ScenarioResult", "SystemFit", "fit_system", "phase_in_scenario",
               "propagate_shock", "simulate_panel"],
-    "panel": ["DerivedSeriesRecipe", "PanelDataset", "VariableSpec", "apply_transform",
-              "derive_series", "lag", "load_panel", "load_schema", "within_demean",
-              "write_panel"],
+    "panel": ["PanelDataset", "VariableSpec", "apply_transform", "load_panel",
+              "load_schema", "write_panel"],
     "ratios": ["BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
                "ComplianceReport", "NsfrWeights", "PhaseInSchedule", "check_compliance",
                "compute_nsfr", "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"],

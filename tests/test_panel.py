@@ -1,4 +1,4 @@
-"""Data-model tests: ingestion, transforms, derivation, demeaning, lags."""
+"""Data-model tests: ingestion, transforms, demeaning."""
 
 import csv
 import math
@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 
 from baselcost import (
     DataError,
-    DerivedSeriesRecipe,
     PanelDataset,
     VariableSpec,
     apply_transform,
-    derive_series,
-    lag,
     load_panel,
     load_schema,
-    within_demean,
     write_panel,
 )
+from baselcost.panel import entity_demean
 
 NAN = float("nan")
 
@@ -232,142 +229,47 @@ class TestTransforms:
         assert apply_transform(ds, VariableSpec("x")) is ds
 
 
-class TestDeriveSeries:
-    def test_spread(self):
-        ds = make_panel(["A"], [1], r=[[12.5]], i=[[7.3]])
-        out = derive_series(ds, DerivedSeriesRecipe("spread", "spread", ("r", "i")))
-        assert out.column("spread")[0, 0] == pytest.approx(5.2, abs=1e-12)
-
-    def test_real_rate_zero(self):
-        ds = make_panel(["A"], [1], i=[[8.0]], pi=[[8.0]])
-        out = derive_series(ds, DerivedSeriesRecipe("rr", "real_rate", ("i", "pi")))
-        assert out.column("rr")[0, 0] == 0.0
-
-    def test_ratio_log(self):
-        ds = make_panel(["A"], [1], a=[[200.0]], b=[[100.0]])
-        out = derive_series(ds, DerivedSeriesRecipe("lr", "ratio_log", ("a", "b")))
-        assert out.column("lr")[0, 0] == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_missing_propagates(self):
-        ds = make_panel(["A"], [1, 2], r=[[12.5, NAN]], i=[[7.3, 7.0]])
-        out = derive_series(ds, DerivedSeriesRecipe("spread", "spread", ("r", "i")))
-        assert math.isnan(out.column("spread")[0, 1])
-
-    def test_ratio_log_nonpositive_rejected(self):
-        ds = make_panel(["A"], [1], a=[[0.0]], b=[[1.0]])
-        with pytest.raises(DataError):
-            derive_series(ds, DerivedSeriesRecipe("lr", "ratio_log", ("a", "b")))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DataError):
-            DerivedSeriesRecipe("x", "product", ("a", "b"))
-
-    def test_spread_commutes_with_subsetting(self):
-        rng = np.random.default_rng(42)
-        ds = make_panel(
-            [f"B{i}" for i in range(5)], [2010, 2011, 2012, 2013],
-            r=rng.normal(10, 2, (5, 4)), i=rng.normal(6, 1, (5, 4)),
-        )
-        recipe = DerivedSeriesRecipe("spread", "spread", ("r", "i"))
-        sub_then = derive_series(ds.subset(entities=["B1", "B3"], periods=[2011, 2013]),
-                                 recipe)
-        then_sub = derive_series(ds, recipe).subset(entities=["B1", "B3"],
-                                                    periods=[2011, 2013])
-        np.testing.assert_allclose(sub_then.column("spread"), then_sub.column("spread"),
-                                   rtol=0, atol=0)
+@st.composite
+def demean_inputs(draw):
+    counts = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    codes = [e for e, n in enumerate(counts) for _ in range(n)]
+    codes = draw(st.permutations(codes))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(codes),
+                           max_size=len(codes)))
+    return (np.array(values), np.array(codes, dtype=np.intp),
+            np.array(counts, dtype=float))
 
 
-class TestWithinDemean:
-    def test_basic(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[1.0, 2.0, 3.0]])
-        out = within_demean(ds, ["x"])
-        np.testing.assert_allclose(out.column("x"), [[-1.0, 0.0, 1.0]], atol=1e-14)
+class TestEntityDemean:
+    def test_unequal_row_counts(self):
+        got = entity_demean(np.array([1.0, 10.0, 2.0, 20.0, 3.0]),
+                            np.array([0, 1, 0, 1, 0]), np.array([3.0, 2.0]))
+        np.testing.assert_allclose(got, [-1.0, -5.0, 0.0, 5.0, 1.0], atol=1e-14)
 
-    def test_constant_series(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[5.0, 5.0, 5.0]])
-        out = within_demean(ds, ["x"])
-        np.testing.assert_allclose(out.column("x"), [[0.0, 0.0, 0.0]], atol=1e-14)
-
-    def test_mean_over_present_values_only(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[1.0, NAN, 4.0]])
-        out = within_demean(ds, ["x"])
-        got = out.column("x")
-        assert got[0, 0] == pytest.approx(-1.5)
-        assert math.isnan(got[0, 1])
-        assert got[0, 2] == pytest.approx(1.5)
-
-    def test_thin_entity_rejected(self):
-        ds = make_panel(["A", "B"], [1, 2], x=[[1.0, 2.0], [3.0, NAN]])
-        with pytest.raises(DataError, match="'B'"):
-            within_demean(ds, ["x"])
+    def test_constant_series_is_exactly_zero(self):
+        got = entity_demean(np.array([5.0, 5.0, 5.0, 2.5, 2.5, 2.5, 2.5]),
+                            np.array([0, 0, 0, 1, 1, 1, 1]), np.array([3.0, 4.0]))
+        assert np.all(got == 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
-        ds = make_panel([f"B{i}" for i in range(6)], list(range(2010, 2018)),
-                        x=rng.normal(3, 2, (6, 8)))
-        once = within_demean(ds, ["x"])
-        twice = within_demean(once, ["x"])
-        np.testing.assert_allclose(twice.column("x"), once.column("x"), atol=1e-12)
+        codes = rng.integers(0, 6, 40)
+        counts = np.bincount(codes, minlength=6).astype(float)
+        once = entity_demean(rng.normal(3, 2, 40), codes, counts)
+        np.testing.assert_allclose(entity_demean(once, codes, counts), once, atol=1e-12)
 
-    def test_entity_means_are_zero(self):
-        rng = np.random.default_rng(8)
-        ds = make_panel([f"B{i}" for i in range(4)], list(range(5)),
-                        x=rng.normal(100, 30, (4, 5)))
-        out = within_demean(ds, ["x"])
-        means = np.nanmean(out.column("x"), axis=1)
-        np.testing.assert_allclose(means, 0.0, atol=1e-12)
-
-
-class TestLag:
-    def test_shift(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[10.0, 20.0, 30.0]])
-        out = lag(ds, "x", 1)
-        got = out.column("x__lag1")
-        assert math.isnan(got[0, 0])
-        assert got[0, 1] == 10.0 and got[0, 2] == 20.0
-
-    def test_max_lag(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[10.0, 20.0, 30.0]])
-        got = lag(ds, "x", 2).column("x__lag2")
-        assert math.isnan(got[0, 0]) and math.isnan(got[0, 1])
-        assert got[0, 2] == 10.0
-
-    def test_no_entity_crossing(self):
-        ds = make_panel(["A", "B"], [1, 2], x=[[1.0, 2.0], [3.0, 4.0]])
-        got = lag(ds, "x", 1).column("x__lag1")
-        assert math.isnan(got[1, 0])  # B's first period must not see A's last value
-        assert got[1, 1] == 3.0
-
-    def test_too_large_rejected(self):
-        ds = make_panel(["A"], [1, 2, 3], x=[[1.0, 2.0, 3.0]])
-        with pytest.raises(DataError):
-            lag(ds, "x", 3)
-
-    def test_lag_composition(self):
-        rng = np.random.default_rng(3)
-        ds = make_panel(["A", "B"], list(range(8)), x=rng.normal(size=(2, 8)))
-        a = lag(lag(ds, "x", 2), "x__lag2", 1).column("x__lag2__lag1")
-        b = lag(ds, "x", 3).column("x__lag3")
-        both = ~np.isnan(a) & ~np.isnan(b)
-        np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
-        np.testing.assert_allclose(a[both], b[both], atol=0)
-
-
-class TestSubset:
-    DS = make_panel(["A", "B", "C"], [2010, 2011], x=[[1, 2], [3, 4], [5, 6]])
-
-    def test_order_follows_request(self):
-        sub = self.DS.subset(entities=["C", "A"], periods=[2011])
-        assert (sub.entities, sub.periods) == (("C", "A"), (2011,))
-        np.testing.assert_array_equal(sub.column("x"), [[6], [2]])
-
-    def test_unknown_entity_rejected(self):
-        with pytest.raises(DataError, match="unknown entity 'Z'"):
-            self.DS.subset(entities=["A", "Z"])
-
-    def test_unknown_period_rejected(self):
-        with pytest.raises(DataError, match="unknown period 2099"):
-            self.DS.subset(periods=[2010, 2099])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(demean_inputs())
+    def test_matches_per_entity_loop(self, inputs):
+        values, codes, counts = inputs
+        got = entity_demean(values, codes, counts)
+        tol = 1e-12 * max(1.0, float(np.abs(values).max()))
+        for e in range(counts.size):
+            rows = [r for r in range(values.size) if codes[r] == e]
+            mean = sum(values[r] for r in rows) / len(rows)
+            assert abs(sum(got[r] for r in rows)) <= tol
+            for r in rows:
+                assert abs(got[r] - (values[r] - mean)) <= tol
 
 
 class TestDatasetInvariants:
