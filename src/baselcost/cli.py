@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import DataError, EstimationError
-from .model import EQUATIONS
+from .model import EQUATIONS, SYSTEM_COLUMNS
 
 
 def _render(args, payload, text: str, table=None) -> int:
@@ -62,10 +62,18 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _read_panel(args):
-    from .panel import load_panel, load_schema
+def _read_panel(args, unlogged=()):
+    """--panel with --schema's transforms applied, refusing a log on `unlogged`."""
+    from .panel import apply_transform, load_panel, load_schema
     schema = load_schema(args.schema) if args.schema else []
-    return load_panel(args.panel, schema)
+    logged = [v.name for v in schema if v.transform == "log" and v.name in unlogged]
+    if logged:
+        raise DataError(f"--schema declares a log transform on {logged}, which --model "
+                        f"{args.model} takes already in logs; use --model custom")
+    ds = load_panel(args.panel, schema)
+    for var in schema:
+        ds = apply_transform(ds, var)
+    return ds
 
 
 # -- ratios --------------------------------------------------------------------
@@ -196,7 +204,7 @@ def cmd_fit(args) -> int:
         raise DataError("--no-fe is not allowed with --model all, which always fits fixed effects")
     if (args.dep or args.regressors) and args.model != "custom":
         raise DataError("--dep and --regressors need --model custom")
-    ds = _read_panel(args)
+    ds = _read_panel(args, SYSTEM_COLUMNS if args.model != "custom" else ())
     small_sample = not args.plain_cov
 
     if args.model == "all":
@@ -236,23 +244,48 @@ def cmd_fit(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
+# Parser defaults are None so that a given option can be told from one left out.
+SIMULATE_DEFAULTS = {"dliq": 0.0, "dcap": 0.0, "mode": "chained", "phase_liq": 0.0,
+                     "banks": 22, "years": 5, "noise": 0.05, "seed": 20140622}
+
+
+def _given(args, names: Sequence[str]) -> str:
+    """The options among `names` given on the command line, as flags."""
+    return ", ".join(f"--{n.replace('_', '-')}" for n in names
+                     if getattr(args, n) is not None)
+
+
 def cmd_simulate(args) -> int:
     from .model import (ScenarioInput, phase_in_scenario, propagate_shock,
                         resolve_coefficients, simulate_panel)
     from .ratios import BANGLADESH_SCHEDULE
+    shock = ("dliq", "dcap", "mode", "dlgdp")
+    if args.make_panel and (given := _given(args, (*shock, "phase_in"))):
+        raise DataError(f"--make-panel runs no scenario and takes no {given}")
+    if args.phase_in is not None and (given := _given(args, shock)):
+        raise DataError(f"--phase-in takes its shocks from the schedule and --phase-liq, "
+                        f"not {given}")
+    if args.phase_liq is not None and args.phase_in is None:
+        raise DataError("--phase-liq needs --phase-in")
+    if not args.make_panel and (given := _given(args, ("banks", "years", "noise", "seed"))):
+        raise DataError(f"only --make-panel takes {given}")
+    for name, value in SIMULATE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
     if args.make_panel:
         from .panel import write_panel
-        coeffs = resolve_coefficients(args.coeffs)
-        ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
         if not args.out:
             raise DataError("--make-panel needs --out PATH for the generated CSV")
+        coeffs = resolve_coefficients(args.coeffs)
+        ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
         write_panel(ds, args.out)
         print(f"wrote {ds.n_entities}x{ds.n_periods} synthetic panel to {args.out}")
         return 0
 
     coeffs = resolve_coefficients(args.coeffs)
 
-    if args.phase_in:
+    if args.phase_in is not None:
         frm, to = _parse_year_range(args.phase_in)
         series = phase_in_scenario(
             coeffs, BANGLADESH_SCHEDULE, frm, to, delta_liq_per_year=args.phase_liq
@@ -352,21 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="shock scenarios and synthetic panels")
     p.add_argument("--coeffs", default="paper",
                    help="'paper' for the built-in preset or a CoefficientSet JSON path")
-    p.add_argument("--dliq", type=float, default=0.0, help="liquidity shock (pp)")
-    p.add_argument("--dcap", type=float, default=0.0, help="capital shock (pp)")
-    p.add_argument("--mode", choices=("chained", "exogenous"), default="chained")
-    p.add_argument("--dlgdp", type=float, default=None,
+    p.add_argument("--dliq", type=float, help="liquidity shock (pp)")
+    p.add_argument("--dcap", type=float, help="capital shock (pp)")
+    p.add_argument("--mode", choices=("chained", "exogenous"))
+    p.add_argument("--dlgdp", type=float,
                    help="exogenous lending-to-GDP change (exogenous mode)")
     p.add_argument("--phase-in", metavar="FROM:TO",
                    help="run the schedule series between two years")
-    p.add_argument("--phase-liq", type=float, default=0.0,
-                   help="liquidity shock per phase-in year")
+    p.add_argument("--phase-liq", type=float, help="liquidity shock per phase-in year")
     p.add_argument("--make-panel", action="store_true",
                    help="write a synthetic panel CSV instead of running a scenario")
-    p.add_argument("--banks", type=int, default=22, help="banks for --make-panel")
-    p.add_argument("--years", type=int, default=5, help="years for --make-panel")
-    p.add_argument("--noise", type=float, default=0.05, help="noise sd for --make-panel")
-    p.add_argument("--seed", type=int, default=20140622, help="seed for --make-panel")
+    p.add_argument("--banks", type=int, help="banks for --make-panel")
+    p.add_argument("--years", type=int, help="years for --make-panel")
+    p.add_argument("--noise", type=float, help="noise sd for --make-panel")
+    p.add_argument("--seed", type=int, help="seed for --make-panel")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 

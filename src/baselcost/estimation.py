@@ -53,7 +53,6 @@ from .panel import PanelDataset, entity_demean
 
 log = logging.getLogger(__name__)
 
-COV_TYPES = ("driscoll_kraay", "conventional")
 RANK_RTOL = 1e-10  # smallest/largest singular value ratio below this = rank deficient
 # Leverage eigenvalues at or below this are zeroed. Every period block of
 # I - H has its eigenvalues in [0, 1], so the bound is relative to 1, not to
@@ -68,7 +67,7 @@ def newey_west_auto_bandwidth(n_periods: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class RegressionSpec:
-    """What to regress on what, and how to build the covariance.
+    """What to regress on what, and how to build the DK covariance.
 
     dk_bandwidth is either "auto" or an explicit non-negative lag count.
     small_sample toggles the few-period adjustment described in the module
@@ -80,7 +79,6 @@ class RegressionSpec:
     include_intercept: bool = True
     fixed_effects: bool = True
     dk_bandwidth: int | str = "auto"
-    cov_type: str = "driscoll_kraay"
     small_sample: bool = True
 
     def __post_init__(self) -> None:
@@ -97,8 +95,6 @@ class RegressionSpec:
                     f"dk_bandwidth must be 'auto' or a non-negative integer, "
                     f"got {self.dk_bandwidth!r}"
                 )
-        if self.cov_type not in COV_TYPES:
-            raise DataError(f"cov_type must be one of {COV_TYPES}, got {self.cov_type!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +114,6 @@ class FitResult:
     n_periods_used: int
     df_resid: int
     bandwidth_used: int
-    cov_type: str
     small_sample: bool
     dropped_entities: tuple[str, ...] = field(default=())
     row_entities: tuple[str, ...] = field(default=(), repr=False)
@@ -155,7 +150,7 @@ class FitResult:
             "n_periods_used": self.n_periods_used,
             "df_resid": self.df_resid,
             "bandwidth_used": self.bandwidth_used,
-            "cov_type": self.cov_type,
+            "cov_type": "driscoll_kraay",
             "small_sample": self.small_sample,
             "dropped_entities": list(self.dropped_entities),
         }
@@ -395,85 +390,55 @@ def _t_pvalue(t: float, df: int) -> float:
 
 
 def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
-    fixed_effects = spec.fixed_effects
-    n = rows.n
-    k = len(spec.regressors)
-    n_ent, n_per = rows.n_ent, rows.n_per
-
-    if fixed_effects and n <= k + 1:
-        raise EstimationError(
-            f"too few observations: {n} rows for {k} regressors"
-        )
-
+    n, k, n_per = rows.n, len(spec.regressors), rows.n_per
     y = rows.values(spec.dependent)
     X = np.column_stack([rows.values(r) for r in spec.regressors])
-    names: tuple[str, ...]
-    if fixed_effects:
+    if spec.fixed_effects:
         y_dm = rows.demeaned(spec.dependent)
         X_dm = np.column_stack([rows.demeaned(r) for r in spec.regressors])
-        if spec.include_intercept:
-            Z = np.column_stack([np.ones(n), X_dm + X.mean(axis=0)])
-            y_reg = y_dm + y.mean()
-            names = ("const", *spec.regressors)
-        else:
-            Z = X_dm
-            y_reg = y_dm
-            names = spec.regressors
+        Z, y_reg = X_dm, y_dm
+        if spec.include_intercept:  # add the grand means back
+            Z, y_reg = X_dm + X.mean(axis=0), y_dm + y.mean()
         tss = float(y_dm @ y_dm)
-        n_params = k + n_ent
+        n_params = k + rows.n_ent
     else:
-        if spec.include_intercept:
-            Z = np.column_stack([np.ones(n), X])
-            names = ("const", *spec.regressors)
-            tss = float(((y - y.mean()) ** 2).sum())
-            n_params = k + 1
-        else:
-            Z = X
-            names = spec.regressors
-            tss = float(y @ y)
-            n_params = k
-        y_reg = y
+        Z, y_reg = X, y
+        tss = float(((y - y.mean()) ** 2).sum()) if spec.include_intercept else float(y @ y)
+        n_params = k + int(spec.include_intercept)
+    names = spec.regressors
+    if spec.include_intercept:
+        names, Z = ("const", *names), np.column_stack([np.ones(n), Z])
+
+    # A pooled fit may be exact (df = 0); a within fit needs a residual degree
+    # of freedom beyond the absorbed entity means.
+    df = n - n_params
+    if df < (1 if spec.fixed_effects else 0):
+        absorbed = " (including absorbed entity means)" if spec.fixed_effects else ""
+        raise EstimationError(
+            f"too few observations: {n} rows for {n_params} parameters{absorbed}")
 
     theta, _, _, svals = np.linalg.lstsq(Z, y_reg, rcond=None)
     _check_rank(Z, svals, names)
     resid = y_reg - Z @ theta
     ssr = float(resid @ resid)
-    df = n - n_params
-    if fixed_effects and df < 1:
-        raise EstimationError(
-            f"too few observations: {n} rows leave no residual degrees of freedom "
-            f"after {n_params} parameters (including absorbed entity means)"
-        )
-    if df < 0:
-        raise EstimationError(f"too few observations: {n} rows for {n_params} parameters")
 
-    if spec.dk_bandwidth == "auto":
+    bandwidth = spec.dk_bandwidth
+    if bandwidth == "auto":
         bandwidth = newey_west_auto_bandwidth(n_per)
-    else:
-        bandwidth = int(spec.dk_bandwidth)
-    bandwidth = min(bandwidth, n_per - 1)
+    bandwidth = min(int(bandwidth), n_per - 1)
 
     kz = Z.shape[1]
     if df == 0:
         # exact fit: coefficients are well defined, inference is not
         cov = np.full((kz, kz), np.nan)
-        if spec.cov_type == "conventional":
-            bandwidth = 0
-    elif spec.cov_type == "conventional":
-        cov = (ssr / df) * np.linalg.inv(Z.T @ Z)
-        bandwidth = 0
     else:
         ztz_inv = np.linalg.inv(Z.T @ Z)
         if spec.small_sample:
-            scores = _leverage_adjusted_residuals(X_dm if fixed_effects else Z, rows, resid)
+            scores = _leverage_adjusted_residuals(X_dm if spec.fixed_effects else Z, rows, resid)
+            factor = (n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
         else:
-            scores = resid[rows.order]
-        S = _dk_middle(Z[rows.order], scores, rows.periods, bandwidth)
-        if spec.small_sample:
-            factor = (n - 1.0) / df
-            if n_per > 1:
-                factor *= n_per / (n_per - 1.0)
-            S = S * factor
+            scores, factor = resid[rows.order], 1.0
+        S = _dk_middle(Z[rows.order], scores, rows.periods, bandwidth) * factor
         cov = ztz_inv @ S @ ztz_inv
         cov = (cov + cov.T) / 2.0
 
@@ -481,10 +446,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
-    if df >= 1:
-        pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])
-    else:
-        pvals = np.full(kz, np.nan)
+    pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])  # nan t at df = 0
     r2 = 1.0 - ssr / tss if tss > 0 else math.nan
 
     return FitResult(
@@ -497,11 +459,10 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         residuals=resid,
         r_squared_within=r2,
         n_obs=n,
-        n_entities=n_ent,
+        n_entities=rows.n_ent,
         n_periods_used=n_per,
         df_resid=df,
         bandwidth_used=bandwidth,
-        cov_type=spec.cov_type,
         small_sample=spec.small_sample,
         dropped_entities=rows.dropped,
         row_entities=rows.row_entities,

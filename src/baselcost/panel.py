@@ -104,11 +104,6 @@ class PanelDataset:
         except KeyError:
             raise DataError(f"no column named {name!r}; have {sorted(self.columns)}") from None
 
-    def is_balanced(self, columns: Iterable[str] | None = None) -> bool:
-        """True iff no missing entries in any of the selected columns."""
-        names = list(columns) if columns is not None else list(self.columns)
-        return all(not np.any(np.isnan(self.column(n))) for n in names)
-
     def observation_count(self, columns: Iterable[str] | None = None) -> int:
         """Number of (entity, period) cells observed in all selected columns."""
         names = list(columns) if columns is not None else list(self.columns)

@@ -252,6 +252,22 @@ class TestFit:
         assert capsys.readouterr().out == warned
         json.loads(warned)
 
+    def test_schema_log_transform_is_applied(self, panel_csv, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"variables": [{"name": "lending", "transform": "log"}]}')
+        ds = simulate_panel(PAPER_PRESET, 12, 6, 0.05, seed=1001)
+        exp = ds.with_column("lending", np.exp(ds.column("lending")))
+        exp_csv = tmp_path / "exp.csv"
+        write_panel(exp, str(exp_csv))
+        base = ["--model", "custom", "--regressors", "gdp,spread", "--format", "json"]
+        assert main(["fit", "--panel", panel_csv, "--dep", "lending", *base]) == 0
+        direct = json.loads(capsys.readouterr().out)["fit"]
+        assert main(["fit", "--panel", str(exp_csv), "--schema", str(schema),
+                     "--dep", "lending__log", *base]) == 0
+        logged = json.loads(capsys.readouterr().out)["fit"]
+        for a, b in zip(direct["params"], logged["params"]):
+            assert a["estimate"] == pytest.approx(b["estimate"], rel=1e-9, abs=1e-12)
+
     def test_csv_format_rejected(self, panel_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--panel", panel_csv, "--model", "all", "--format", "csv"])
@@ -308,6 +324,10 @@ class TestSimulate:
 
     def test_make_panel_without_out_exits_2(self, capsys):
         assert main(["simulate", "--make-panel"]) == 2
+
+    def test_empty_phase_in_exits_2(self, capsys):
+        assert main(["simulate", "--phase-in", ""]) == 2
+        assert capsys.readouterr().err == "error: expected FROM:TO years, got ''\n"
 
 
 class TestFileOutput:
@@ -385,6 +405,52 @@ class TestRefusedFlags:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["spread", "lending", "roe", "all"])
+    def test_schema_log_on_system_column_exit_2(self, panel_csv, tmp_path, model, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"variables": [{"name": "lending", "transform": "log"}]}')
+        assert main(["fit", "--panel", panel_csv, "--schema", str(schema),
+                     "--model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --schema declares a log transform on "
+                                       "['lending']")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--phase-in", "2015:2019", "--dcap", "2.5", "--dliq", "3", "--mode", "exogenous",
+          "--dlgdp", "1"], "--phase-in takes its shocks from the schedule and --phase-liq, "
+         "not --dliq, --dcap, --mode, --dlgdp"),
+        (["--phase-in", "2015:2019", "--mode", "chained"], "--phase-in takes its shocks"),
+        (["--dcap", "1", "--phase-liq", "4"], "--phase-liq needs --phase-in"),
+        (["--make-panel", "--phase-liq", "4", "--out", "{tmp}/p.csv"],
+         "--phase-liq needs --phase-in"),
+        (["--dcap", "1", "--banks", "3", "--seed", "9", "--noise", "1"],
+         "only --make-panel takes --banks, --noise, --seed"),
+        (["--phase-in", "2015:2019", "--years", "3"], "only --make-panel takes --years"),
+        (["--make-panel", "--dcap", "3", "--out", "{tmp}/p.csv"],
+         "--make-panel runs no scenario and takes no --dcap"),
+        (["--make-panel", "--phase-in", "2015:2019", "--out", "{tmp}/p.csv"],
+         "--make-panel runs no scenario and takes no --phase-in"),
+    ])
+    def test_ignored_simulate_flags_exit_2(self, tmp_path, argv, message, capsys):
+        assert main(["simulate", *(a.format(tmp=tmp_path) for a in argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_make_panel_checks_out_before_simulating(self, monkeypatch, capsys):
+        from baselcost import model
+
+        def fail(*args):
+            raise AssertionError("simulated without --out")
+
+        monkeypatch.setattr(model, "simulate_panel", fail)
+        assert main(["simulate", "--make-panel", "--banks", "3"]) == 2
+        assert "--make-panel needs --out" in capsys.readouterr().err
 
     def test_positions_and_deltas_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

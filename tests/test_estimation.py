@@ -11,7 +11,6 @@ implementation.
 import logging
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,8 +108,9 @@ def cr2_dk_oracle(ds, spec):
     design otherwise. Nothing uses the 1/T_i form of the dummy part. The
     block's inverse square root comes from eigh, with eigenvalues at most
     1e-8 set to zero (every block of I - H has its eigenvalues in [0, 1]).
-    Returns the covariance and the smallest eigenvalue kept, which bounds how
-    far rounding can move it.
+    Returns the covariance, the smallest eigenvalue kept, which bounds how
+    far rounding can move it, and the iid OLS covariance s^2 (Z'Z)^-1 as a
+    scale. Needs a residual degree of freedom.
     """
     y = ds.column(spec.dependent)
     X = np.stack([ds.column(r) for r in spec.regressors], axis=-1)
@@ -150,7 +150,8 @@ def cr2_dk_oracle(ds, spec):
     factor = (n - 1.0) / (n - n_params)
     if n_per > 1:
         factor *= n_per / (n_per - 1.0)
-    return factor * dk_sandwich_oracle(Z, adjusted, list(pj), bandwidth), smallest_kept
+    iid = (resid @ resid) / (n - n_params) * np.linalg.inv(Z.T @ Z)
+    return factor * dk_sandwich_oracle(Z, adjusted, list(pj), bandwidth), smallest_kept, iid
 
 
 class TestPointEstimates:
@@ -358,7 +359,7 @@ class TestSmallSampleCovariance:
                               fixed_effects=fixed_effects, dk_bandwidth=bandwidth)
         with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
             fit = fit_within_dk(ds, spec)
-        oracle, _ = cr2_dk_oracle(ds, spec)
+        oracle, _, _ = cr2_dk_oracle(ds, spec)
         np.testing.assert_allclose(
             fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
         )
@@ -376,7 +377,7 @@ class TestSmallSampleCovariance:
         spec = RegressionSpec("y", ("x0", "d0"), fixed_effects=fixed_effects)
         with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
             fit = fit_within_dk(ds, spec)
-        oracle, _ = cr2_dk_oracle(ds, spec)
+        oracle, _, _ = cr2_dk_oracle(ds, spec)
         np.testing.assert_allclose(
             fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
         )
@@ -391,16 +392,16 @@ class TestSmallSampleCovariance:
             fit = fit_within_dk(ds, spec)
         except EstimationError:
             assume(False)  # rank deficient or too few rows: nothing to compare
-        oracle, smallest_kept = cr2_dk_oracle(ds, spec)
-        conventional = fit_within_dk(ds, replace(spec, cov_type="conventional"))
         # The 1e-10 agreement is a claim about well-posed fits. Rounding moves
         # a block eigenvalue lam by about eps * cond(X)^2 in both computations,
         # and lam^(-1/2) by that over lam, so two correct results drift apart
         # on near-singular blocks or with one residual degree of freedom; a
         # covariance that is zero in exact arithmetic (fixed effects without
         # intercept on two periods) is rounding on both sides.
-        assume(fit.df_resid >= 2 and smallest_kept >= 1e-3)
-        assume(np.abs(oracle).max() > 1e-6 * np.abs(conventional.covariance).max())
+        assume(fit.df_resid >= 2)
+        oracle, smallest_kept, iid = cr2_dk_oracle(ds, spec)
+        assume(smallest_kept >= 1e-3)
+        assume(np.abs(oracle).max() > 1e-6 * np.abs(iid).max())
         np.testing.assert_allclose(
             fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
         )
@@ -532,29 +533,14 @@ class TestPooledOls:
         # normal equations by hand: intercept 1, slope 2 through (0,1), (1,3)
         ds = make_panel(["A", "B"], [2000],
                         x=[[0.0], [1.0]], y=[[1.0], [3.0]])
-        fit = fit_within_dk(
-            ds, RegressionSpec("y", ("x",), fixed_effects=False,
-                               cov_type="conventional")
-        )
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x",), fixed_effects=False))
         assert fit.coef("const") == pytest.approx(1.0, abs=1e-12)
         assert fit.coef("x") == pytest.approx(2.0, abs=1e-12)
-
-    def test_conventional_covariance(self):
-        rng = np.random.default_rng(31)
-        n = 40
-        x = rng.normal(0, 1, (1, n))
-        y = 2.0 + 0.5 * x + rng.normal(0, 1, (1, n))
-        ds = make_panel(["A"], list(range(n)), x=x, y=y)
-        fit = fit_within_dk(
-            ds, RegressionSpec("y", ("x",), fixed_effects=False,
-                               cov_type="conventional")
-        )
-        Z = np.column_stack([np.ones(n), x.ravel()])
-        resid = y.ravel() - Z @ fit.coefficients
-        sigma2 = resid @ resid / (n - 2)
-        np.testing.assert_allclose(
-            fit.covariance, sigma2 * np.linalg.inv(Z.T @ Z), rtol=1e-10
-        )
+        # an exact fit leaves no residual degree of freedom for inference
+        assert fit.df_resid == 0
+        assert np.isnan(fit.covariance).all()
+        assert np.isnan(fit.std_errors).all()
+        assert np.isnan(fit.p_values).all()
 
 
 class TestErrors:
@@ -575,9 +561,13 @@ class TestErrors:
             fit_within_dk(ds, RegressionSpec("y", ("w",)))
 
     def test_too_few_observations(self):
-        ds = make_panel(["A"], [1, 2], x=[[1.0, 2.0]], y=[[1.0, 2.0]])
-        with pytest.raises(EstimationError, match="too few"):
+        ds = make_panel(["A"], [1, 2], x=[[1.0, 2.0]], w=[[0.5, 3.0]], y=[[1.0, 2.0]])
+        with pytest.raises(EstimationError, match=r"^too few observations: 2 rows for "
+                           r"2 parameters \(including absorbed entity means\)$"):
             fit_within_dk(ds, RegressionSpec("y", ("x",)))
+        with pytest.raises(EstimationError, match=r"^too few observations: 2 rows for "
+                           r"3 parameters$"):
+            fit_within_dk(ds, RegressionSpec("y", ("x", "w"), fixed_effects=False))
 
     def test_unknown_column(self):
         ds = make_panel(["A", "B"], [1, 2, 3],
@@ -594,8 +584,6 @@ class TestErrors:
             RegressionSpec("y", ("y", "x"))
         with pytest.raises(DataError):
             RegressionSpec("y", ("x",), dk_bandwidth=-1)
-        with pytest.raises(DataError):
-            RegressionSpec("y", ("x",), cov_type="huber")
 
     def test_thin_entities_dropped_with_warning(self, caplog):
         rng = np.random.default_rng(43)

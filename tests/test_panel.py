@@ -53,7 +53,6 @@ class TestLoadPanel:
         ds = load_panel(csv_3x2, SCHEMA)
         assert ds.entities == ("B01", "B02", "B03")
         assert ds.periods == (2012, 2013)
-        assert ds.is_balanced()
         assert ds.observation_count() == 6
         assert ds.column("roe")[0, 1] == 11.0
 
@@ -63,7 +62,6 @@ class TestLoadPanel:
             "bank_id,year,roe\nB01,2012,10.0\nB01,2013,\nB02,2012,9.0\nB02,2013,9.5\n"
         )
         ds = load_panel(str(p), [VariableSpec("roe")])
-        assert not ds.is_balanced()
         assert math.isnan(ds.column("roe")[0, 1])
         assert ds.observation_count(["roe"]) == 3
 
@@ -94,7 +92,6 @@ class TestLoadPanel:
         p.write_text("bank_id,year,roe\nB01,2012,10.0\nB01,2013,11.0\nB02,2012,9.0\n")
         ds = load_panel(str(p), [VariableSpec("roe")])
         assert math.isnan(ds.column("roe")[1, 1])
-        assert not ds.is_balanced()
 
     def test_round_trip_identical(self, tmp_path, csv_3x2):
         ds = load_panel(csv_3x2, SCHEMA)
