@@ -56,6 +56,10 @@ def read_bank_years(
                  for k, c in enumerate(columns) if c in names]
         fill = [blank] * len(columns)
         seen: set[tuple[str, int]] = set()
+        # one str per bank and one int per year text, shared by every row;
+        # two maps, so that a bank named like a year stays a str
+        banks: dict[str, str] = {}
+        years: dict[str, int] = {}
         records = []
         for row in reader:
             if len(row) != width or not (bank := row[bank_at].strip()):
@@ -66,12 +70,12 @@ def read_bank_years(
                         f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}"
                     )
                 raise DataError(f"{path}:{reader.line_num}: empty bank_id")
-            try:
-                year = int(row[year_at])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{reader.line_num}: bad year {row[year_at]!r}"
-                ) from None
+            bank = banks.setdefault(bank, bank)
+            if (year := years.get(text := row[year_at])) is None:
+                try:
+                    year = years[text] = int(text)
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: bad year {text!r}") from None
             key = (bank, year)
             if key in seen:
                 raise DataError(f"{path}:{reader.line_num}: duplicate observation for {key}")

@@ -115,14 +115,14 @@ def _parse_year_range(text: str) -> tuple[int, int]:
 def cmd_phasein(args) -> int:
     from .ratios import (BANGLADESH_SCHEDULE, REQUIREMENT_FIELDS, check_compliance,
                          load_positions, required_deltas)
-    if args.deltas:
+    if args.deltas is not None:
         frm, to = _parse_year_range(args.deltas)
         deltas = required_deltas(frm, to)
         table = (["requirement", "delta"], [[k, f"{v:+.4g}"] for k, v in deltas.items()])
         payload = {"from_year": frm, "to_year": to, "deltas": deltas}
         return _render(args, payload, _table(*table), table)
 
-    if args.positions:
+    if args.positions is not None:
         reports = [check_compliance(p) for p in load_positions(args.positions)]
         blocks = []
         for r in reports:
@@ -262,6 +262,9 @@ def cmd_simulate(args) -> int:
     shock = ("dliq", "dcap", "mode", "dlgdp")
     if args.make_panel and (given := _given(args, (*shock, "phase_in"))):
         raise DataError(f"--make-panel runs no scenario and takes no {given}")
+    if args.make_panel and args.format != "text":
+        raise DataError(f"--make-panel writes its CSV to --out and takes no "
+                        f"--format {args.format}")
     if args.phase_in is not None and (given := _given(args, shock)):
         raise DataError(f"--phase-in takes its shocks from the schedule and --phase-liq, "
                         f"not {given}")

@@ -170,18 +170,36 @@ class ScenarioResult:
     """Propagated responses. delta_spread is in percentage points; the
     lending/ROE responses are log-point responses read as percent.
 
-    `terms` holds every coefficient times driver response, equation by
-    equation in EQUATIONS order (GDP terms dropped); `mode` is the shock's
-    mode. `trace` is built from them on each access.
+    `coefficients` and `shock` are the inputs the responses were built from;
+    `provenance`, `mode`, `terms` and `trace` are derived from them on each
+    access.
     """
 
     delta_spread: float
     delta_lending: float
     delta_lgdp: float
     delta_roe: float
-    provenance: str
-    terms: tuple[float, ...]
-    mode: str
+    coefficients: CoefficientSet
+    shock: ScenarioInput
+
+    @property
+    def provenance(self) -> str:
+        return self.coefficients.provenance
+
+    @property
+    def mode(self) -> str:
+        return self.shock.mode
+
+    @property
+    def terms(self) -> tuple[float, ...]:
+        """Every coefficient times driver response, equation by equation in
+        EQUATIONS order (GDP terms dropped), multiplied as propagate_shock
+        multiplies them."""
+        c, shock = self.coefficients, self.shock
+        d = {"liq": shock.delta_liq, "cap": shock.delta_cap,
+             "spread": self.delta_spread, "lgdp": self.delta_lgdp}
+        return tuple(getattr(c, field) * d[driver]
+                     for _, _, items in _SCENARIO_STEPS for field, _, driver in items)
 
     @property
     def trace(self) -> tuple[dict, ...]:
@@ -258,21 +276,16 @@ def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioRes
     mode.
     """
     d = {"liq": shock.delta_liq, "cap": shock.delta_cap}
-    products = []
     for eq, _, terms in _SCENARIO_STEPS:
         total = None
         for field, _, driver in terms:
             product = getattr(coeffs, field) * d[driver]
-            products.append(product)
             # the sum starts from the first term: adding to 0.0 would turn -0.0 into 0.0
             total = product if total is None else total + product
         d[eq] = total
         if eq == "lending":
             d["lgdp"] = total if shock.mode == "chained" else float(shock.delta_lgdp)
-    return ScenarioResult(
-        d["spread"], d["lending"], d["lgdp"], d["roe"],
-        coeffs.provenance, tuple(products), shock.mode,
-    )
+    return ScenarioResult(d["spread"], d["lending"], d["lgdp"], d["roe"], coeffs, shock)
 
 
 @dataclass(frozen=True, slots=True)

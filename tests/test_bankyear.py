@@ -61,6 +61,12 @@ CASES = {
         f"cannot parse '8.5.0' in column '{c[-1]}'"),
     "duplicate key": lambda c: (
         [header(c), row(c), row(c)], 3, "duplicate observation for ('B01', 2014)"),
+    "duplicate key with the year spelled two ways": lambda c: (
+        [header(c), row(c, year="2010"), row(c, bank="B02", year=" 2010"),
+         row(c, year=" 2010")], 4, "duplicate observation for ('B01', 2010)"),
+    "bad year that is also a bank id": lambda c: (
+        [header(c), row(c, bank="20x4"), row(c, bank="B02", year="20x4")], 3,
+        "bad year '20x4'"),
     "blank line before the bad row": lambda c: (
         [header(c), row(c), "", row(c)], 4, "duplicate observation for ('B01', 2014)"),
     "whitespace-only line before the bad row": lambda c: (
@@ -124,3 +130,29 @@ class TestPanelCells:
         path = write(tmp_path, ["bank_id,year,roe", "B01,2012,nan", "B01,2013,", "B01,2014,2"])
         roe = load_panel(path, [VariableSpec("roe")]).column("roe")
         assert [math.isnan(v) for v in roe[0]] == [True, True, False]
+
+
+class TestSharedKeys:
+    """Records of one file share one str per bank and one int per year."""
+
+    @pytest.mark.parametrize("loader", ["balance_sheets", "positions"])
+    def test_rows_share_bank_and_year_objects(self, tmp_path, loader):
+        load, columns = LOADERS[loader]
+        keys = [("B01", "2014"), (" B01", "2015"), ("B02", "2014"), ("B01 ", "2016")]
+        recs = load(write(tmp_path, [header(columns)] + [
+            row(columns, bank=b, year=y) for b, y in keys]))
+        assert [(r.entity, r.year) for r in recs] == [
+            ("B01", 2014), ("B01", 2015), ("B02", 2014), ("B01", 2016)]
+        assert recs[0].entity is recs[1].entity is recs[3].entity
+        assert recs[0].year is recs[2].year
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_bank_named_like_a_year_stays_a_bank(self, tmp_path, loader):
+        load, columns = LOADERS[loader]
+        got = load(write(tmp_path, [header(columns), row(columns, bank="2010", year="2011"),
+                                    row(columns, bank="2011", year="2010")]))
+        if loader == "panel":
+            assert (got.entities, got.periods) == (("2010", "2011"), (2010, 2011))
+        else:
+            assert [(r.entity, r.year) for r in got] == [("2010", 2011), ("2011", 2010)]
+            assert [(type(r.entity), type(r.year)) for r in got] == [(str, int)] * 2

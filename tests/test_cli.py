@@ -433,6 +433,10 @@ class TestRefusedFlags:
          "--make-panel runs no scenario and takes no --dcap"),
         (["--make-panel", "--phase-in", "2015:2019", "--out", "{tmp}/p.csv"],
          "--make-panel runs no scenario and takes no --phase-in"),
+        (["--make-panel", "--format", "json", "--out", "{tmp}/p.csv"],
+         "--make-panel writes its CSV to --out and takes no --format json"),
+        (["--make-panel", "--banks", "2", "--format", "csv", "--out", "{tmp}/p.csv"],
+         "--make-panel writes its CSV to --out and takes no --format csv"),
     ])
     def test_ignored_simulate_flags_exit_2(self, tmp_path, argv, message, capsys):
         assert main(["simulate", *(a.format(tmp=tmp_path) for a in argv)]) == 2
@@ -451,6 +455,17 @@ class TestRefusedFlags:
         monkeypatch.setattr(model, "simulate_panel", fail)
         assert main(["simulate", "--make-panel", "--banks", "3"]) == 2
         assert "--make-panel needs --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--positions", "", "--format", "json"], "cannot open : "),
+        (["--deltas", ""], "expected FROM:TO years, got ''"),
+    ])
+    def test_empty_phasein_value_exits_2(self, argv, message, capsys):
+        assert main(["phasein", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
 
     def test_positions_and_deltas_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

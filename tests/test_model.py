@@ -4,7 +4,7 @@ simulation determinism, and system fitting."""
 import json
 import logging
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -212,7 +212,7 @@ class TestCompactResult:
         assert res.trace[0]["value"] == res.delta_spread
 
     def test_ten_thousand_results_stay_small(self):
-        # the trace dicts are built on access, not stored with each result
+        # a result refers to its inputs; terms and trace are built on access
         shocks = [ScenarioInput(delta_cap=i / 100.0, delta_liq=j / 100.0)
                   for i in range(100) for j in range(100)]
         tracemalloc.start()
@@ -222,7 +222,84 @@ class TestCompactResult:
         finally:
             tracemalloc.stop()
         assert len(kept) == 10_000
-        assert held < 8 * 2**20
+        assert held < 200 * len(kept)
+
+
+def _by_hand(c, shock):
+    """to_dict() of a result written out term by term from the equations."""
+    dl, dc = shock.delta_liq, shock.delta_cap
+    spread = c.spread_liq * dl + c.spread_cap * dc
+    lending = c.lending_spread * spread
+    lgdp = lending if shock.mode == "chained" else shock.delta_lgdp
+    roe = c.roe_lgdp * lgdp + c.roe_liq * dl + c.roe_cap * dc
+    terms = (c.spread_liq * dl, c.spread_cap * dc, c.lending_spread * spread,
+             c.roe_lgdp * lgdp, c.roe_liq * dl, c.roe_cap * dc)
+    trace = [
+        {"step": "spread", "formula": "d_spread = spread_liq*d_liq + spread_cap*d_cap",
+         "terms": {"spread_liq*d_liq": terms[0], "spread_cap*d_cap": terms[1]},
+         "value": spread},
+        {"step": "lending", "formula": "d_lending = lending_spread*d_spread (GDP held fixed)",
+         "terms": {"lending_spread*d_spread": terms[2]}, "value": lending},
+        {"step": "lending_to_gdp",
+         "formula": "d_lgdp = d_lending" if shock.mode == "chained" else "d_lgdp exogenous",
+         "terms": {"d_lgdp": lgdp}, "value": lgdp},
+        {"step": "roe", "formula": "d_roe = roe_lgdp*d_lgdp + roe_liq*d_liq + roe_cap*d_cap",
+         "terms": {"roe_lgdp*d_lgdp": terms[3], "roe_liq*d_liq": terms[4],
+                   "roe_cap*d_cap": terms[5]},
+         "value": roe},
+    ]
+    return terms, trace, {"delta_spread": spread, "delta_lending": lending,
+                          "delta_lgdp": lgdp, "delta_roe": roe,
+                          "provenance": c.provenance, "trace": trace}
+
+
+SIGNED_SHOCKS = [
+    ScenarioInput(delta_cap=-0.0, delta_liq=-0.0),
+    ScenarioInput(delta_cap=1.3, delta_liq=-0.0),
+    ScenarioInput(delta_cap=-0.0, delta_liq=0.7),
+    ScenarioInput(delta_cap=-2.5, delta_liq=0.4),
+    ScenarioInput(delta_cap=-0.0, delta_liq=-0.0, mode="exogenous", delta_lgdp=-0.0),
+    ScenarioInput(delta_cap=1.3, delta_liq=-0.0, mode="exogenous", delta_lgdp=-0.2),
+    ScenarioInput(delta_cap=-0.0, delta_liq=0.7, mode="exogenous", delta_lgdp=0.0),
+]
+
+
+class TestResultInputs:
+    @pytest.mark.parametrize("coeffs", [
+        PAPER_PRESET,
+        CoefficientSet(*np.random.default_rng(4).normal(0, 2, 10).tolist(),
+                       provenance="fitted"),
+    ])
+    @pytest.mark.parametrize("shock", SIGNED_SHOCKS)
+    def test_derived_fields_match_the_formulas(self, coeffs, shock):
+        res = propagate_shock(coeffs, shock)
+        assert res.coefficients is coeffs and res.shock is shock
+        assert (res.provenance, res.mode) == (coeffs.provenance, shock.mode)
+        terms, trace, payload = _by_hand(coeffs, shock)
+        # repr and json tell -0.0 from 0.0, which == does not
+        assert repr(res.terms) == repr(terms)
+        assert repr(res.trace) == repr(tuple(trace))
+        got = res.to_dict()
+        assert got.pop("note").startswith("shock units follow the scenario narrative")
+        assert json.dumps(got) == json.dumps(payload)
+
+    def test_asdict_nests_the_inputs(self):
+        shock = ScenarioInput(delta_cap=1.3, delta_liq=0.7)
+        raw = asdict(propagate_shock(PAPER_PRESET, shock))
+        assert list(raw) == ["delta_spread", "delta_lending", "delta_lgdp", "delta_roe",
+                             "coefficients", "shock"]
+        assert raw["coefficients"] == asdict(PAPER_PRESET)
+        assert raw["shock"] == asdict(shock)
+
+    def test_equality_compares_the_inputs(self):
+        # roe_const never enters a response, so only the inputs tell these apart
+        other = replace(PAPER_PRESET, roe_const=1.0)
+        shock = ScenarioInput(delta_cap=1.3, delta_liq=0.7)
+        a, b = propagate_shock(PAPER_PRESET, shock), propagate_shock(other, shock)
+        assert (a.delta_spread, a.delta_lending, a.delta_roe, a.terms) == \
+            (b.delta_spread, b.delta_lending, b.delta_roe, b.terms)
+        assert a != b
+        assert a == propagate_shock(PAPER_PRESET, ScenarioInput(delta_cap=1.3, delta_liq=0.7))
 
 
 class TestPhaseIn:
