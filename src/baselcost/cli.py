@@ -39,8 +39,11 @@ def _render(args, payload, text: str, table=None) -> int:
     elif args.format == "text":
         body = text
     elif table is not None:
-        headers, rows = table
-        body = "\n".join([",".join(headers)] + [",".join(row) for row in rows])
+        import csv
+        import io
+        buf = io.StringIO()  # csv quotes a cell only where it must
+        csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
+        body = buf.getvalue().removesuffix("\n")
     else:
         raise DataError("this output has no flat table; use --format text or json")
     if args.out:

@@ -133,18 +133,18 @@ class FitResult:
             "params": [
                 {
                     "name": n,
-                    "estimate": float(b),
-                    "std_error": float(s),
-                    "t_stat": float(t),
-                    "p_value": float(p),
+                    "estimate": _json_float(b),
+                    "std_error": _json_float(s),
+                    "t_stat": _json_float(t),
+                    "p_value": _json_float(p),
                 }
                 for n, b, s, t, p in zip(
                     self.param_names, self.coefficients, self.std_errors,
                     self.t_stats, self.p_values,
                 )
             ],
-            "covariance": [[float(v) for v in row] for row in self.covariance],
-            "r_squared_within": self.r_squared_within,
+            "covariance": [[_json_float(v) for v in row] for row in self.covariance],
+            "r_squared_within": _json_float(self.r_squared_within),
             "n_obs": self.n_obs,
             "n_entities": self.n_entities,
             "n_periods_used": self.n_periods_used,
@@ -174,6 +174,12 @@ class FitResult:
 
 
 # -- internals ----------------------------------------------------------------
+
+
+def _json_float(v) -> float | None:
+    """`v` as a float, or None (JSON null) where JSON cannot hold it: NaN, +-inf."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 def _usable_rows(

@@ -25,14 +25,13 @@ lgdp (= lending - gdp), roe.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .ratios import BANGLADESH_SCHEDULE, PhaseInSchedule
+from .ratios import BANGLADESH_SCHEDULE, PhaseInSchedule, required_deltas
 
 if TYPE_CHECKING:
     from .estimation import FitResult
@@ -193,30 +192,30 @@ class ScenarioResult:
     @property
     def terms(self) -> tuple[float, ...]:
         """Every coefficient times driver response, equation by equation in
-        EQUATIONS order (GDP terms dropped), multiplied as propagate_shock
-        multiplies them."""
-        c, shock = self.coefficients, self.shock
-        d = {"liq": shock.delta_liq, "cap": shock.delta_cap,
-             "spread": self.delta_spread, "lgdp": self.delta_lgdp}
-        return tuple(getattr(c, field) * d[driver]
-                     for _, _, items in _SCENARIO_STEPS for field, _, driver in items)
+        EQUATIONS order (GDP terms dropped): the products of `trace`."""
+        return tuple(v for step in self.trace if step["step"] != "lending_to_gdp"
+                     for v in step["terms"].values())
 
     @property
     def trace(self) -> tuple[dict, ...]:
         """One dict per step: step, formula, terms (key -> value) and value.
 
-        Fresh dicts on every access, so editing them cannot change the result.
+        Each term multiplies a coefficient by its driver's response as
+        propagate_shock does. Fresh dicts on every access, so editing them
+        cannot change the result.
         """
-        values = (self.delta_lgdp, *self.terms)
-        mode = self.mode
+        c, lgdp = self.coefficients, self.delta_lgdp
+        d = {"liq": self.shock.delta_liq, "cap": self.shock.delta_cap,
+             "spread": self.delta_spread, "lgdp": lgdp}
         trace = []
-        for step, formula, items, field in _TRACE_STEPS:
-            # plain loops: for one to three terms they beat zip and comprehensions
-            terms = {}
-            for key, i in items:
-                terms[key] = values[i]
-            trace.append({"step": step, "formula": formula[mode], "terms": terms,
-                          "value": getattr(self, field)})
+        for eq, formula, items in _SCENARIO_STEPS:
+            trace.append({"step": eq, "formula": formula,
+                          "terms": {key: getattr(c, field) * d[driver]
+                                    for field, key, driver in items},
+                          "value": getattr(self, f"delta_{eq}")})
+            if eq == "lending":
+                trace.append({"step": "lending_to_gdp", "formula": _LGDP_FORMULA[self.mode],
+                              "terms": {"d_lgdp": lgdp}, "value": lgdp})
         return tuple(trace)
 
     def to_dict(self) -> dict:
@@ -246,25 +245,8 @@ _SCENARIO_STEPS = tuple(
     )
     for eq, regs in EQUATIONS
 )
-
-
-def _trace_steps() -> tuple:
-    """(step, formula by mode, ((term key, index), ...), ScenarioResult field)
-    per trace step. Indices point into `(delta_lgdp, *terms)`: each equation
-    reads its own products, the lending-to-GDP step the lgdp response."""
-    index = itertools.count(1)
-    steps = []
-    for eq, formula, terms in _SCENARIO_STEPS:
-        steps.append((eq, dict.fromkeys(SCENARIO_MODES, formula),
-                      tuple((key, next(index)) for _, key, _ in terms), f"delta_{eq}"))
-        if eq == "lending":
-            steps.append(("lending_to_gdp",
-                          {"chained": "d_lgdp = d_lending", "exogenous": "d_lgdp exogenous"},
-                          (("d_lgdp", 0),), "delta_lgdp"))
-    return tuple(steps)
-
-
-_TRACE_STEPS = _trace_steps()
+# The lending-to-GDP trace step's formula, by scenario mode.
+_LGDP_FORMULA = {"chained": "d_lgdp = d_lending", "exogenous": "d_lgdp exogenous"}
 
 
 def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioResult:
@@ -318,18 +300,11 @@ def phase_in_scenario(
     """
     if from_year > to_year:
         raise DataError(f"from_year {from_year} must not exceed to_year {to_year}")
-    for y in (from_year, to_year):
-        _, steady = sched.for_year(y)
-        if steady:
-            raise DataError(
-                f"year {y} is outside the schedule ({sched.first_year}-{sched.last_year})"
-            )
+    required_deltas(from_year, to_year, sched)  # both years must lie in the schedule
     steps = []
     total_cap = 0.0
     for year in range(from_year, to_year):
-        req_now, _ = sched.for_year(year)
-        req_next, _ = sched.for_year(year + 1)
-        d_cap = req_next.total_plus_buffer_pct - req_now.total_plus_buffer_pct
+        d_cap = required_deltas(year, year + 1, sched)["total_plus_buffer_pct"]
         total_cap += d_cap
         shock = ScenarioInput(delta_cap=d_cap, delta_liq=delta_liq_per_year)
         steps.append((year + 1, propagate_shock(coeffs, shock)))

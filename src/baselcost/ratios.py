@@ -25,7 +25,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from ._bankyear import read_bank_years
 from .errors import DataError, NegativeTceWarning
@@ -309,8 +309,9 @@ class ComplianceReport:
     def schedule_year(self) -> int:
         return self.requirements.year
 
-    def _rows(self) -> list[tuple]:
-        """One tuple per requirement, in `RequirementCheck` field order.
+    @property
+    def checks(self) -> tuple[RequirementCheck, ...]:
+        """One record per requirement, built fresh on each access.
 
         Shortfalls are in the requirement's own units, floored at zero, and
         comparisons are inclusive: meeting the floor exactly passes. The NSFR
@@ -329,36 +330,26 @@ class ComplianceReport:
             ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
             ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
         )
-        return [
-            (name, required, actual, max(0.0, required - actual), actual >= required,
-             advisory, note)
+        return tuple([
+            RequirementCheck(name, required, actual, max(0.0, required - actual),
+                             actual >= required, advisory, note)
             for name, required, actual, advisory, note in table
-        ]
-
-    @property
-    def checks(self) -> tuple[RequirementCheck, ...]:
-        """One record per requirement, built fresh on each access."""
-        return tuple([RequirementCheck(*row) for row in self._rows()])
+        ])
 
     @property
     def overall_pass(self) -> bool:
         """Every binding (non-advisory) requirement is met."""
-        return all(row[4] for row in self._rows() if not row[5])
+        return all(c.passed for c in self.checks if not c.advisory)
 
     def to_dict(self) -> dict:
-        # the check dicts come straight from the rows: no record is built
-        rows = self._rows()
         return {
             "entity": self.entity,
             "year": self.year,
             "schedule_year": self.schedule_year,
             "steady_state": self.steady_state,
-            "overall_pass": all(row[4] for row in rows if not row[5]),
-            "checks": [dict(zip(_CHECK_KEYS, row)) for row in rows],
+            "overall_pass": self.overall_pass,
+            "checks": [asdict(c) for c in self.checks],
         }
-
-
-_CHECK_KEYS = tuple(f.name for f in fields(RequirementCheck))
 
 
 def check_compliance(

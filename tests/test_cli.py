@@ -1,7 +1,10 @@
 """CLI contract tests: outputs, exit codes, format round trips."""
 
+import csv
+import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -475,3 +478,77 @@ class TestRefusedFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not allowed with argument --positions" in captured.err
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _degenerate_panels(tmp_path):
+    """An exactly fitted pooled regression and a dependent constant in each bank."""
+    exact = tmp_path / "exact.csv"
+    exact.write_text("bank_id,year,y,x\nA,2010,1,0.5\nA,2011,2,0.7\n")
+    flat = tmp_path / "flat.csv"
+    flat.write_text("bank_id,year,y,x\nA,2010,1,0.5\nA,2011,1,0.7\nA,2012,1,0.2\n"
+                    "B,2010,3,0.1\nB,2011,3,0.9\nB,2012,3,0.4\n")
+    return str(exact), str(flat)
+
+
+class TestStrictOutput:
+    def test_every_subcommand_writes_strict_json(self, tmp_path, capsys):
+        exact, flat = _degenerate_panels(tmp_path)
+        data = ROOT / "data"
+        runs = [
+            ["ratios", "--balance-sheets", str(data / "balance_sheets.csv")],
+            ["phasein"],
+            ["phasein", "--positions", str(data / "positions.csv")],
+            ["phasein", "--deltas", "2015:2019"],
+            ["unitroot", "--panel", BUNDLED_PANEL, "--vars", "liq,cap,gdp,spread,lending,roe"],
+            ["fit", "--panel", BUNDLED_PANEL, "--model", "all"],
+            ["fit", "--panel", BUNDLED_PANEL, "--model", "roe", "--no-fe"],
+            ["fit", "--panel", exact, "--model", "custom", "--dep", "y",
+             "--regressors", "x", "--no-fe"],
+            ["fit", "--panel", flat, "--model", "custom", "--dep", "y", "--regressors", "x"],
+            ["simulate", "--dliq", "1", "--dcap", "1"],
+            ["simulate", "--mode", "exogenous", "--dlgdp", "-0.0"],
+            ["simulate", "--phase-in", "2015:2019", "--phase-liq", "0.3"],
+        ]
+        for argv in runs:
+            assert main([*argv, "--format", "json"]) == 0, argv
+            _strict_json(capsys.readouterr().out)
+
+    def test_undefined_fit_statistics_are_null(self, tmp_path, capsys):
+        exact, flat = _degenerate_panels(tmp_path)
+        assert main(["fit", "--panel", exact, "--model", "custom", "--dep", "y",
+                     "--regressors", "x", "--no-fe", "--format", "json"]) == 0
+        fit = _strict_json(capsys.readouterr().out)["fit"]
+        assert fit["df_resid"] == 0
+        assert fit["covariance"] == [[None, None], [None, None]]
+        for p in fit["params"]:
+            assert math.isfinite(p["estimate"])
+            assert p["std_error"] is p["t_stat"] is p["p_value"] is None
+        assert main(["fit", "--panel", flat, "--model", "custom", "--dep", "y",
+                     "--regressors", "x", "--format", "json"]) == 0
+        fit = _strict_json(capsys.readouterr().out)["fit"]
+        assert fit["r_squared_within"] is None
+
+    def test_csv_cells_are_quoted_as_needed(self, tmp_path, capsys):
+        p = tmp_path / "quoted.csv"
+        p.write_text(BS_HEADER + '\n"Bank ""A"", Ltd"' + WORKED_ROW[3:] + "\n")
+        assert main(["ratios", "--balance-sheets", str(p), "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("0.10000\n") and not out.endswith("\n\n")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [["bank_id", "year", "nsfr", "tce_rwa"],
+                        ['Bank "A", Ltd', "2014", "1.14706", "0.10000"]]
+
+    def test_phase_in_outside_the_schedule_reads_like_deltas(self, capsys):
+        message = ("error: both years must lie in the schedule (2015-2019); "
+                   "got 2014, 2019\n")
+        for argv in (["simulate", "--phase-in", "2014:2019"],
+                     ["phasein", "--deltas", "2014:2019"]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
