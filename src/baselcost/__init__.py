@@ -24,9 +24,8 @@ _EXPORTS = {
     "panel": ("PanelDataset", "VariableSpec", "apply_transform", "load_panel",
               "load_schema", "write_panel"),
     "ratios": ("BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
-               "ComplianceReport", "NsfrWeights", "PhaseInSchedule", "check_compliance",
-               "compute_nsfr", "compute_tce_rwa", "nsfr_to_ltd_delta",
-               "required_deltas"),
+               "ComplianceReport", "NsfrWeights", "check_compliance", "compute_nsfr",
+               "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"),
     "unitroot": ("UnitRootResult", "harris_tzavalis"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,6 +1,7 @@
-"""The one reader of bank-year CSV files: panels, balance sheets, positions.
+"""The one reader of bank-year CSV files (panels, balance sheets, positions)
+and of JSON input files (schemas, weights, coefficient sets).
 
-One pass per file; the first fault raises a DataError naming `path:line:`.
+One pass per file; the first fault raises a DataError naming the file.
 Standard library only, so that `ratios` imports without numpy.
 """
 
@@ -8,9 +9,20 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 from typing import Callable, Sequence
 
 from .errors import DataError
+
+
+def read_json(path: str, what: str):
+    """The parsed contents of JSON file `path`. A file that cannot be opened,
+    is not UTF-8 or is not JSON raises `cannot read <what> file <path>: ...`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def read_bank_years(

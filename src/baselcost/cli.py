@@ -154,7 +154,7 @@ def cmd_phasein(args) -> int:
     schedule = [
         {k: v for k, v in dataclasses.asdict(req).items()
          if not k.endswith("_from_september")}
-        for req in BANGLADESH_SCHEDULE.years
+        for req in BANGLADESH_SCHEDULE
     ]
     headers = ["year", *REQUIREMENT_FIELDS, "cet1_deduction_phase_pct",
                "rr_deduction_phase_pct"]
@@ -261,7 +261,6 @@ def _given(args, names: Sequence[str]) -> str:
 def cmd_simulate(args) -> int:
     from .model import (ScenarioInput, phase_in_scenario, propagate_shock,
                         resolve_coefficients, simulate_panel)
-    from .ratios import BANGLADESH_SCHEDULE
     shock = ("dliq", "dcap", "mode", "dlgdp")
     if args.make_panel and (given := _given(args, (*shock, "phase_in"))):
         raise DataError(f"--make-panel runs no scenario and takes no {given}")
@@ -293,9 +292,7 @@ def cmd_simulate(args) -> int:
 
     if args.phase_in is not None:
         frm, to = _parse_year_range(args.phase_in)
-        series = phase_in_scenario(
-            coeffs, BANGLADESH_SCHEDULE, frm, to, delta_liq_per_year=args.phase_liq
-        )
+        series = phase_in_scenario(coeffs, frm, to, delta_liq_per_year=args.phase_liq)
         results = [*series.steps, ("cumulative", series.cumulative)]
         fields = ("delta_spread", "delta_lending", "delta_roe")
         text_rows = [[str(y)] + [f"{getattr(r, f):.4g}" for f in fields] for y, r in results]

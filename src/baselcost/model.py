@@ -30,8 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._bankyear import read_json
 from .errors import DataError
-from .ratios import BANGLADESH_SCHEDULE, PhaseInSchedule, required_deltas
+from .ratios import required_deltas
 
 if TYPE_CHECKING:
     from .estimation import FitResult
@@ -106,12 +107,7 @@ class CoefficientSet:
 
     @classmethod
     def from_json(cls, path: str) -> "CoefficientSet":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read coefficient file {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "coefficient"))
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -286,7 +282,6 @@ class PhaseInScenario:
 
 def phase_in_scenario(
     coeffs: CoefficientSet,
-    sched: PhaseInSchedule = BANGLADESH_SCHEDULE,
     from_year: int = 2015,
     to_year: int = 2019,
     delta_liq_per_year: float = 0.0,
@@ -296,15 +291,14 @@ def phase_in_scenario(
     Each step's capital shock is that year's increment of the
     total-capital-plus-buffer requirement; the liquidity shock per year is
     caller-supplied (default 0). Results are linear in the shocks, so the
-    yearly deltas sum exactly to the cumulative ones.
+    yearly deltas sum exactly to the cumulative ones. The window must be one
+    that required_deltas accepts.
     """
-    if from_year > to_year:
-        raise DataError(f"from_year {from_year} must not exceed to_year {to_year}")
-    required_deltas(from_year, to_year, sched)  # both years must lie in the schedule
+    required_deltas(from_year, to_year)  # refuses a window outside or reversed
     steps = []
     total_cap = 0.0
     for year in range(from_year, to_year):
-        d_cap = required_deltas(year, year + 1, sched)["total_plus_buffer_pct"]
+        d_cap = required_deltas(year, year + 1)["total_plus_buffer_pct"]
         total_cap += d_cap
         shock = ScenarioInput(delta_cap=d_cap, delta_liq=delta_liq_per_year)
         steps.append((year + 1, propagate_shock(coeffs, shock)))
@@ -373,16 +367,11 @@ def simulate_panel(
 
 @dataclass(frozen=True, slots=True)
 class SystemFit:
-    """Fitted system: the assembled coefficient set plus per-equation results."""
+    """Fitted system: the assembled coefficient set plus one FitResult per
+    equation, in EQUATIONS order."""
 
     coefficients: CoefficientSet
-    spread_fit: FitResult
-    lending_fit: FitResult
-    roe_fit: FitResult
-
-    @property
-    def fits(self) -> tuple[FitResult, FitResult, FitResult]:
-        return (self.spread_fit, self.lending_fit, self.roe_fit)
+    fits: tuple[FitResult, ...]
 
 
 def fit_system(
@@ -413,13 +402,13 @@ def fit_system(
         )
         for eq, regs in EQUATIONS
     ]
-    fits = fit_within_dk_many(ds, specs)
+    fits = tuple(fit_within_dk_many(ds, specs))
     by_eq = {eq: fit for (eq, _), fit in zip(EQUATIONS, fits)}
     coeffs = CoefficientSet(
         **{name: by_eq[eq].coef(term) for eq, term, name in _COEFFICIENTS},
         provenance="fitted",
     )
-    return SystemFit(coeffs, *fits)
+    return SystemFit(coeffs, fits)
 
 
 def resolve_coefficients(source: str) -> CoefficientSet:

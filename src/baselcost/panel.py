@@ -18,7 +18,6 @@ functions.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._bankyear import read_bank_years
+from ._bankyear import read_bank_years, read_json
 from .errors import DataError
 
 TRANSFORMS = ("none", "log")
@@ -127,27 +126,20 @@ class PanelDataset:
 
 
 def load_schema(path: str) -> list[VariableSpec]:
-    """Read a JSON schema file: {"variables": [{"name": ..., "transform": ...}, ...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read schema file {path}: {exc}") from exc
+    """Read a JSON schema file: {"variables": [{"name": ..., "transform": ...}, ...]}.
+
+    An entry takes only the VariableSpec fields: name, transform, role, units.
+    """
+    raw = read_json(path, "schema")
     entries = raw.get("variables") if isinstance(raw, dict) else None
     if not isinstance(entries, list):
         raise DataError(f"schema file {path} must contain a 'variables' list")
     specs = []
     for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise DataError(f"malformed schema entry in {path}: {entry!r}")
-        specs.append(
-            VariableSpec(
-                name=entry["name"],
-                transform=entry.get("transform", "none"),
-                role=entry.get("role", ""),
-                units=entry.get("units", ""),
-            )
-        )
+        try:
+            specs.append(VariableSpec(**entry))
+        except TypeError:  # not an object, no name, or a key that is no field
+            raise DataError(f"malformed schema entry in {path}: {entry!r}") from None
     return specs
 
 

@@ -22,12 +22,11 @@ changes: each +1 pp of NSFR maps to -0.46 pp of L/D.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 
-from ._bankyear import read_bank_years
+from ._bankyear import read_bank_years, read_json
 from .errors import DataError, NegativeTceWarning
 
 LTD_PER_NSFR_PP = -0.46  # loans-to-deposits response per +1pp NSFR (Wong et al. 2010)
@@ -99,11 +98,7 @@ class NsfrWeights:
         weights the file leaves out keep their defaults. An unknown group
         or key is an error.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read weights file {path}: {exc}") from exc
+        raw = read_json(path, "weights")
         if not isinstance(raw, dict):
             raise DataError(f"malformed weights file {path}: expected a JSON object")
         names = {f.name for f in fields(cls)}
@@ -196,57 +191,23 @@ class YearRequirements:
     nsfr_min: float
     leverage_note: str = ""
     nsfr_from_september: bool = False
-    lcr_from_september: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseInSchedule:
-    """Year-keyed transitional requirements, 2015 through 2019."""
-
-    years: tuple[YearRequirements, ...]
-
-    def __post_init__(self) -> None:
-        if not self.years:
-            raise DataError("schedule must contain at least one year")
-        ys = [r.year for r in self.years]
-        if ys != sorted(ys) or len(set(ys)) != len(ys):
-            raise DataError("schedule years must be strictly increasing")
-
-    @property
-    def first_year(self) -> int:
-        return self.years[0].year
-
-    @property
-    def last_year(self) -> int:
-        return self.years[-1].year
-
-    def for_year(self, year: int) -> tuple[YearRequirements, bool]:
-        """Requirements applying in `year`.
-
-        Outside the phase-in window the terminal (last-year) requirements
-        apply; the second element flags that steady-state fallback.
-        """
-        for req in self.years:
-            if req.year == year:
-                return req, False
-        return self.years[-1], True
-
-
-BANGLADESH_SCHEDULE = PhaseInSchedule(
-    years=(
-        YearRequirements(2015, 4.50, 0.0, 4.50, 5.50, 10.00, 10.00, 20.0, 20.0,
-                         3.0, 100.0, 1.0,
-                         nsfr_from_september=True, lcr_from_september=True),
-        YearRequirements(2016, 4.50, 0.625, 5.125, 5.50, 10.00, 10.625, 40.0, 40.0,
-                         3.0, 100.0, 1.0),
-        YearRequirements(2017, 4.50, 1.25, 5.75, 6.00, 10.00, 11.25, 60.0, 60.0,
-                         3.0, 100.0, 1.0, leverage_note="readjustment"),
-        YearRequirements(2018, 4.50, 1.875, 6.375, 6.00, 10.00, 11.875, 80.0, 80.0,
-                         3.0, 100.0, 1.0, leverage_note="migration to Pillar 1"),
-        YearRequirements(2019, 4.50, 2.50, 7.00, 6.00, 10.00, 12.50, 100.0, 100.0,
-                         3.0, 100.0, 1.0, leverage_note="migration to Pillar 1"),
-    )
+# The transitional requirements, one row per year from 2015 through 2019,
+# and the same rows keyed by year.
+BANGLADESH_SCHEDULE = (
+    YearRequirements(2015, 4.50, 0.0, 4.50, 5.50, 10.00, 10.00, 20.0, 20.0,
+                     3.0, 100.0, 1.0, nsfr_from_september=True),
+    YearRequirements(2016, 4.50, 0.625, 5.125, 5.50, 10.00, 10.625, 40.0, 40.0,
+                     3.0, 100.0, 1.0),
+    YearRequirements(2017, 4.50, 1.25, 5.75, 6.00, 10.00, 11.25, 60.0, 60.0,
+                     3.0, 100.0, 1.0, leverage_note="readjustment"),
+    YearRequirements(2018, 4.50, 1.875, 6.375, 6.00, 10.00, 11.875, 80.0, 80.0,
+                     3.0, 100.0, 1.0, leverage_note="migration to Pillar 1"),
+    YearRequirements(2019, 4.50, 2.50, 7.00, 6.00, 10.00, 12.50, 100.0, 100.0,
+                     3.0, 100.0, 1.0, leverage_note="migration to Pillar 1"),
 )
+_SCHEDULE_ROW = {req.year: req for req in BANGLADESH_SCHEDULE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,15 +313,16 @@ class ComplianceReport:
         }
 
 
-def check_compliance(
-    pos: CapitalPosition, sched: PhaseInSchedule = BANGLADESH_SCHEDULE
-) -> ComplianceReport:
-    """Check one capital position against the schedule for its year.
+def check_compliance(pos: CapitalPosition) -> ComplianceReport:
+    """Check one capital position against the schedule row for its year.
 
-    Outside the schedule's years the terminal rules apply and the report is
-    flagged `steady_state`. See `ComplianceReport` for the checks.
+    Outside the schedule's years the terminal (last-year) rules apply and the
+    report is flagged `steady_state`. See `ComplianceReport` for the checks.
     """
-    return ComplianceReport(pos, *sched.for_year(pos.year))
+    req = _SCHEDULE_ROW.get(pos.year)
+    if req is None:
+        return ComplianceReport(pos, BANGLADESH_SCHEDULE[-1], True)
+    return ComplianceReport(pos, req, False)
 
 
 REQUIREMENT_FIELDS = (
@@ -376,21 +338,21 @@ REQUIREMENT_FIELDS = (
 )
 
 
-def required_deltas(
-    from_year: int, to_year: int, sched: PhaseInSchedule = BANGLADESH_SCHEDULE
-) -> dict[str, float]:
+def required_deltas(from_year: int, to_year: int) -> dict[str, float]:
     """Per-requirement change between two schedule years (to minus from).
 
-    The result is a shock vector suitable for the scenario engine, e.g.
-    required_deltas(2015, 2019)["total_plus_buffer_pct"] == 2.5.
+    Both years must lie in the schedule, and `from_year` must not be after
+    `to_year`. The result is a shock vector suitable for the scenario engine,
+    e.g. required_deltas(2015, 2019)["total_plus_buffer_pct"] == 2.5.
     """
-    start, steady_a = sched.for_year(from_year)
-    end, steady_b = sched.for_year(to_year)
-    if steady_a or steady_b:
+    start, end = _SCHEDULE_ROW.get(from_year), _SCHEDULE_ROW.get(to_year)
+    if start is None or end is None:
         raise DataError(
-            f"both years must lie in the schedule "
-            f"({sched.first_year}-{sched.last_year}); got {from_year}, {to_year}"
+            f"both years must lie in the schedule ({BANGLADESH_SCHEDULE[0].year}-"
+            f"{BANGLADESH_SCHEDULE[-1].year}); got {from_year}, {to_year}"
         )
+    if from_year > to_year:
+        raise DataError(f"FROM year {from_year} is after TO year {to_year}")
     return {f: getattr(end, f) - getattr(start, f) for f in REQUIREMENT_FIELDS}
 
 

@@ -96,8 +96,8 @@ def test_criterion_2_phase_in_table_fidelity():
         "cet1_deduction_phase_pct", "rr_deduction_phase_pct",
         "leverage_min_pct", "lcr_min_pct", "nsfr_min",
     )
-    assert tuple(r.year for r in BANGLADESH_SCHEDULE.years) == tuple(expected)
-    for req in BANGLADESH_SCHEDULE.years:
+    assert tuple(r.year for r in BANGLADESH_SCHEDULE) == tuple(expected)
+    for req in BANGLADESH_SCHEDULE:
         for fname, want in zip(fields, expected[req.year]):
             assert getattr(req, fname) == want, (req.year, fname)
     report(2, "built-in phase-in schedule matches the transitional "

@@ -546,9 +546,42 @@ class TestStrictOutput:
                         ['Bank "A", Ltd', "2014", "1.14706", "0.10000"]]
 
     def test_phase_in_outside_the_schedule_reads_like_deltas(self, capsys):
-        message = ("error: both years must lie in the schedule (2015-2019); "
-                   "got 2014, 2019\n")
-        for argv in (["simulate", "--phase-in", "2014:2019"],
-                     ["phasein", "--deltas", "2014:2019"]):
-            assert main(argv) == 2
-            assert capsys.readouterr() == ("", message)
+        """A window outside the schedule, or reversed, is refused alike by both
+        subcommands."""
+        for window, message in (
+            ("2014:2019", "both years must lie in the schedule (2015-2019); got 2014, 2019"),
+            ("2019:2015", "FROM year 2019 is after TO year 2015"),
+        ):
+            for argv in (["simulate", "--phase-in", window], ["phasein", "--deltas", window]):
+                assert main(argv) == 2, argv
+                assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("argv, what", [
+        (["fit", "--panel", BUNDLED_PANEL, "--model", "all", "--schema"], "schema"),
+        (["ratios", "--balance-sheets", str(ROOT / "data" / "balance_sheets.csv"),
+          "--weights"], "weights"),
+        (["simulate", "--dcap", "1", "--coeffs"], "coefficient"),
+    ])
+    def test_non_utf8_file_exits_2(self, tmp_path, argv, what, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"variables": []}\xff')
+        assert main([*argv, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {what} file {p}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "lending", "transfrom": "log"},
+        {"transform": "log"},
+        "lending",
+    ])
+    def test_malformed_schema_entry_exits_2(self, tmp_path, entry, capsys):
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps({"variables": [entry]}))
+        assert main(["fit", "--panel", BUNDLED_PANEL, "--model", "lending",
+                     "--schema", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: malformed schema entry in {p}: {entry!r}\n")

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from baselcost import (
-    BANGLADESH_SCHEDULE,
     CoefficientSet,
     DataError,
     EstimationError,
@@ -304,28 +303,28 @@ class TestResultInputs:
 
 class TestPhaseIn:
     def test_cumulative_spread_over_full_window(self):
-        series = phase_in_scenario(PAPER_PRESET, BANGLADESH_SCHEDULE, 2015, 2019)
+        series = phase_in_scenario(PAPER_PRESET, 2015, 2019)
         assert series.cumulative.delta_spread == pytest.approx(0.169 * 2.5, abs=1e-12)
         assert len(series.steps) == 4
 
     def test_yearly_deltas_sum_to_cumulative(self):
         series = phase_in_scenario(
-            PAPER_PRESET, BANGLADESH_SCHEDULE, 2015, 2019, delta_liq_per_year=0.3
+            PAPER_PRESET, 2015, 2019, delta_liq_per_year=0.3
         )
         for f in ("delta_spread", "delta_lending", "delta_roe"):
             total = sum(getattr(r, f) for _, r in series.steps)
             assert total == pytest.approx(getattr(series.cumulative, f), abs=1e-12)
 
     def test_same_year_is_empty(self):
-        series = phase_in_scenario(PAPER_PRESET, BANGLADESH_SCHEDULE, 2017, 2017)
+        series = phase_in_scenario(PAPER_PRESET, 2017, 2017)
         assert series.steps == ()
         assert series.cumulative.delta_spread == 0.0
 
     def test_years_outside_schedule_rejected(self):
         with pytest.raises(DataError):
-            phase_in_scenario(PAPER_PRESET, BANGLADESH_SCHEDULE, 2014, 2019)
+            phase_in_scenario(PAPER_PRESET, 2014, 2019)
         with pytest.raises(DataError):
-            phase_in_scenario(PAPER_PRESET, BANGLADESH_SCHEDULE, 2016, 2015)
+            phase_in_scenario(PAPER_PRESET, 2016, 2015)
 
 
 class TestSimulatePanel:
@@ -413,9 +412,9 @@ class TestFitSystem:
     def test_bandwidth_passthrough(self):
         ds = simulate_panel(PAPER_PRESET, 8, 5, 0.02, seed=5)
         system = fit_system(ds, dk_bandwidth="auto")
-        assert system.spread_fit.bandwidth_used == 2  # auto rule at T=5
+        assert system.fits[0].bandwidth_used == 2  # auto rule at T=5
         system0 = fit_system(ds)
-        assert system0.spread_fit.bandwidth_used == 0
+        assert system0.fits[0].bandwidth_used == 0
 
     @staticmethod
     def _mean_max_rel_err(n_banks, n_years, noise_sd, seeds):

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "PAPER_PRESET",
     "PanelDataset",
     "PhaseInScenario",
-    "PhaseInSchedule",
     "RegressionSpec",
     "ScenarioInput",
     "ScenarioResult",
@@ -66,8 +65,8 @@ HOME = {
     "panel": ["PanelDataset", "VariableSpec", "apply_transform", "load_panel",
               "load_schema", "write_panel"],
     "ratios": ["BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
-               "ComplianceReport", "NsfrWeights", "PhaseInSchedule", "check_compliance",
-               "compute_nsfr", "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"],
+               "ComplianceReport", "NsfrWeights", "check_compliance", "compute_nsfr",
+               "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"],
     "unitroot": ["UnitRootResult", "harris_tzavalis"],
 }
 

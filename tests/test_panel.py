@@ -183,10 +183,10 @@ class TestLoadPanelProperties:
 class TestSchemaFile:
     def test_load_schema(self, tmp_path):
         p = tmp_path / "schema.json"
-        p.write_text('{"variables": [{"name": "roe", "transform": "log", "units": "pct"}]}')
+        p.write_text('{"variables": [{"name": "roe", "transform": "log", "units": "pct", '
+                     '"role": "profitability"}]}')
         specs = load_schema(str(p))
-        assert specs[0].name == "roe"
-        assert specs[0].transform == "log"
+        assert specs == [VariableSpec("roe", "log", "profitability", "pct")]
 
     def test_bad_schema_rejected(self, tmp_path):
         p = tmp_path / "schema.json"

@@ -201,21 +201,21 @@ FIELD_ORDER = (
 
 class TestSchedule:
     def test_every_cell(self):
-        for req in BANGLADESH_SCHEDULE.years:
+        for req in BANGLADESH_SCHEDULE:
             expected = EXPECTED_SCHEDULE[req.year]
             for fname, want in zip(FIELD_ORDER, expected):
                 assert getattr(req, fname) == want, f"{req.year} {fname}"
 
     def test_buffer_nondecreasing(self):
-        buffers = [r.conservation_buffer_pct for r in BANGLADESH_SCHEDULE.years]
+        buffers = [r.conservation_buffer_pct for r in BANGLADESH_SCHEDULE]
         assert buffers == sorted(buffers)
 
     def test_deduction_phase_steps(self):
-        assert [r.cet1_deduction_phase_pct for r in BANGLADESH_SCHEDULE.years] == \
+        assert [r.cet1_deduction_phase_pct for r in BANGLADESH_SCHEDULE] == \
             [20.0, 40.0, 60.0, 80.0, 100.0]
 
     def test_nsfr_binds_from_september_first_year_only(self):
-        flags = [r.nsfr_from_september for r in BANGLADESH_SCHEDULE.years]
+        flags = [r.nsfr_from_september for r in BANGLADESH_SCHEDULE]
         assert flags == [True, False, False, False, False]
 
 
@@ -272,7 +272,8 @@ class TestCompliance:
 def eager_report(pos):
     """The compliance table as built before reports computed their checks:
     one RequirementCheck per row, then the report's to_dict()."""
-    req, steady = BANGLADESH_SCHEDULE.for_year(pos.year)
+    rows = [r for r in BANGLADESH_SCHEDULE if r.year == pos.year]
+    req, steady = (rows[0], False) if rows else (BANGLADESH_SCHEDULE[-1], True)
     nsfr_note = "applies from September" if req.nsfr_from_september else ""
     rows = (
         ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
@@ -301,7 +302,7 @@ def eager_report(pos):
 
 def floor_values(*names, scale=1.0):
     """Every schedule floor of the named requirements, in the position's units."""
-    return sorted({getattr(r, n) / scale for r in BANGLADESH_SCHEDULE.years for n in names})
+    return sorted({getattr(r, n) / scale for r in BANGLADESH_SCHEDULE for n in names})
 
 
 def amounts(floors):
@@ -372,6 +373,10 @@ class TestRequiredDeltas:
     def test_outside_schedule_rejected(self):
         with pytest.raises(DataError):
             required_deltas(2014, 2019)
+
+    def test_reversed_window_rejected(self):
+        with pytest.raises(DataError, match="^FROM year 2019 is after TO year 2015$"):
+            required_deltas(2019, 2015)
 
 
 BS_HEADER = (

@@ -18,7 +18,7 @@ RECORDS = {
 
 
 def test_record_types_are_found():
-    assert "model.ScenarioResult" in RECORDS and len(RECORDS) >= 17
+    assert "model.ScenarioResult" in RECORDS and len(RECORDS) >= 16
 
 
 @pytest.mark.parametrize("name", RECORDS)
