@@ -25,7 +25,7 @@ _EXPORTS = {
               "load_schema", "write_panel"),
     "ratios": ("BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
                "ComplianceReport", "NsfrWeights", "check_compliance", "compute_nsfr",
-               "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"),
+               "compute_tce_rwa", "required_deltas"),
     "unitroot": ("UnitRootResult", "harris_tzavalis"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import warnings
@@ -166,7 +167,7 @@ def cmd_phasein(args) -> int:
 
 
 def cmd_unitroot(args) -> int:
-    from .unitroot import harris_tzavalis
+    from .unitroot import CASE_LABEL, harris_tzavalis
     ds = _read_panel(args)
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
@@ -178,7 +179,7 @@ def cmd_unitroot(args) -> int:
          for r in results],
     )
     note = (f"H0: unit root; small p favours stationarity "
-            f"({results[0].case}, N={results[0].n_entities}, "
+            f"({CASE_LABEL}, N={results[0].n_entities}, "
             f"T={results[0].n_periods})")
     payload = {"results": [r.to_dict() for r in results]}
     return _render(args, payload, _table(*table) + "\n" + note, table)
@@ -234,7 +235,6 @@ def cmd_fit(args) -> int:
     spec = RegressionSpec(
         dependent=dep,
         regressors=regs,
-        include_intercept=True,
         fixed_effects=not args.no_fe,
         dk_bandwidth=_resolve_lags(args.dk_lags, default="auto"),
         small_sample=small_sample,
@@ -256,6 +256,15 @@ def _given(args, names: Sequence[str]) -> str:
     """The options among `names` given on the command line, as flags."""
     return ", ".join(f"--{n.replace('_', '-')}" for n in names
                      if getattr(args, n) is not None)
+
+
+def _refuse_overflow(results) -> None:
+    """Refuse (label, ScenarioResult) pairs with a response that overflowed."""
+    for label, result in results:
+        for name in ("delta_spread", "delta_lending", "delta_lgdp", "delta_roe"):
+            if not math.isfinite(value := getattr(result, name)):
+                raise DataError(f"{label}: response {name} overflows to {value!r}; "
+                                f"use a smaller shock or smaller coefficients")
 
 
 def cmd_simulate(args) -> int:
@@ -294,6 +303,7 @@ def cmd_simulate(args) -> int:
         frm, to = _parse_year_range(args.phase_in)
         series = phase_in_scenario(coeffs, frm, to, delta_liq_per_year=args.phase_liq)
         results = [*series.steps, ("cumulative", series.cumulative)]
+        _refuse_overflow((f"phase-in {y}", r) for y, r in results)
         fields = ("delta_spread", "delta_lending", "delta_roe")
         text_rows = [[str(y)] + [f"{getattr(r, f):.4g}" for f in fields] for y, r in results]
         csv_rows = [[str(y)] + [repr(getattr(r, f)) for f in fields] for y, r in results]
@@ -308,6 +318,7 @@ def cmd_simulate(args) -> int:
         delta_lgdp=args.dlgdp,
     )
     result = propagate_shock(coeffs, shock)
+    _refuse_overflow([("shock", result)])
     lines = [
         f"shock: d_liq={args.dliq:+.4g} pp, d_cap={args.dcap:+.4g} pp "
         f"({args.mode}, coefficients: {result.provenance})"

@@ -125,9 +125,6 @@ class FitResult:
     def se(self, name: str) -> float:
         return float(self.std_errors[self.param_names.index(name)])
 
-    def p_value(self, name: str) -> float:
-        return float(self.p_values[self.param_names.index(name)])
-
     def to_dict(self) -> dict:
         return {
             "params": [

@@ -97,12 +97,17 @@ class CoefficientSet:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CoefficientSet":
+        def number(eq: str, term: str) -> float:  # float() reads true and "0.3"
+            value = raw[eq][term]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{eq}.{term} must be a JSON number, got {value!r}")
+            return float(value)
         try:
             return cls(
-                **{name: float(raw[eq][term]) for eq, term, name in _COEFFICIENTS},
+                **{name: number(eq, term) for eq, term, name in _COEFFICIENTS},
                 provenance=raw.get("provenance", "user"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed coefficient set: {exc!r}") from exc
 
     @classmethod
@@ -166,8 +171,7 @@ class ScenarioResult:
     lending/ROE responses are log-point responses read as percent.
 
     `coefficients` and `shock` are the inputs the responses were built from;
-    `provenance`, `mode`, `terms` and `trace` are derived from them on each
-    access.
+    `provenance`, `mode` and `trace` are derived from them on each access.
     """
 
     delta_spread: float
@@ -184,13 +188,6 @@ class ScenarioResult:
     @property
     def mode(self) -> str:
         return self.shock.mode
-
-    @property
-    def terms(self) -> tuple[float, ...]:
-        """Every coefficient times driver response, equation by equation in
-        EQUATIONS order (GDP terms dropped): the products of `trace`."""
-        return tuple(v for step in self.trace if step["step"] != "lending_to_gdp"
-                     for v in step["terms"].values())
 
     @property
     def trace(self) -> tuple[dict, ...]:
@@ -318,7 +315,6 @@ def simulate_panel(
     n_years: int,
     noise_sd: float,
     seed: int,
-    first_year: int = 2010,
 ) -> PanelDataset:
     """Generate a synthetic bank-year panel satisfying the system equations.
 
@@ -328,9 +324,9 @@ def simulate_panel(
     Gaussian disturbances of scale noise_sd. Equation-level entity effects
     are drawn at the same scale and recentred to mean zero, so the supplied
     intercepts remain the identified ones. With noise_sd = 0 the generated
-    columns satisfy the equations exactly.
+    columns satisfy the equations exactly. Periods are the years from 2010.
 
-    Deterministic for a given seed.
+    Deterministic for a given seed, which must be a non-negative integer.
     """
     if n_banks < 2:
         raise DataError(f"n_banks must be >= 2, got {n_banks}")
@@ -338,6 +334,8 @@ def simulate_panel(
         raise DataError(f"n_years must be >= 3, got {n_years}")
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise DataError(f"noise_sd must be a non-negative number, got {noise_sd!r}")
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
 
     import numpy as np
     from .panel import PanelDataset
@@ -361,8 +359,7 @@ def simulate_panel(
             cols["lgdp"] = cols["lending"] - gdp
 
     entities = tuple(f"B{i + 1:02d}" for i in range(nb))
-    periods = tuple(range(first_year, first_year + ny))
-    return PanelDataset(entities, periods, cols)
+    return PanelDataset(entities, tuple(range(2010, 2010 + ny)), cols)
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,7 +392,6 @@ def fit_system(
         RegressionSpec(
             dependent=eq,
             regressors=regs,
-            include_intercept=True,
             fixed_effects=True,
             dk_bandwidth=dk_bandwidth,
             small_sample=small_sample,

@@ -21,7 +21,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,14 +103,11 @@ class PanelDataset:
         except KeyError:
             raise DataError(f"no column named {name!r}; have {sorted(self.columns)}") from None
 
-    def observation_count(self, columns: Iterable[str] | None = None) -> int:
-        """Number of (entity, period) cells observed in all selected columns."""
-        names = list(columns) if columns is not None else list(self.columns)
-        if not names:
-            return self.n_entities * self.n_periods
+    def observation_count(self) -> int:
+        """Number of (entity, period) cells observed in every column."""
         ok = np.ones((self.n_entities, self.n_periods), dtype=bool)
-        for n in names:
-            ok &= ~np.isnan(self.column(n))
+        for mat in self.columns.values():
+            ok &= ~np.isnan(mat)
         return int(ok.sum())
 
     # -- construction helpers ---------------------------------------------

@@ -14,9 +14,6 @@ The phase-in schedule reproduces the Bangladesh Bank transitional
 arrangements (BRPD circular 18/2014): national minima are stricter than the
 global floors, with a 10% minimum total capital ratio throughout and the
 conservation buffer phased in by 0.625 pp steps to 2.5% in 2019.
-
-A Wong-et-al-style linear bridge converts NSFR changes into loans-to-deposits
-changes: each +1 pp of NSFR maps to -0.46 pp of L/D.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from dataclasses import asdict, dataclass, fields
 
 from ._bankyear import read_bank_years, read_json
 from .errors import DataError, NegativeTceWarning
-
-LTD_PER_NSFR_PP = -0.46  # loans-to-deposits response per +1pp NSFR (Wong et al. 2010)
 
 
 @functools.cache
@@ -111,11 +106,11 @@ class NsfrWeights:
             for key, w in block.items():
                 if f"{group}_{key}" not in names:
                     raise DataError(f"weights file {path}: unknown {group} weight {key!r}")
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise DataError(f"malformed weights file {path}: {group} weight "
+                                    f"{key!r} must be a JSON number, got {w!r}")
                 overrides[f"{group}_{key}"] = w
-        try:
-            return cls(**overrides)
-        except TypeError as exc:
-            raise DataError(f"malformed weights file {path}: {exc}") from exc
+        return cls(**overrides)
 
 
 DEFAULT_WEIGHTS = NsfrWeights()
@@ -161,13 +156,6 @@ def compute_tce_rwa(bs: BalanceSheetSnapshot) -> float:
             stacklevel=2,
         )
     return tce / bs.rwa
-
-
-def nsfr_to_ltd_delta(delta_nsfr: float) -> float:
-    """Implied loans-to-deposits change (pp) for an NSFR change (pp)."""
-    if not math.isfinite(delta_nsfr):
-        raise DataError(f"delta_nsfr must be finite, got {delta_nsfr!r}")
-    return LTD_PER_NSFR_PP * delta_nsfr
 
 
 # -- phase-in schedule -------------------------------------------------------

@@ -47,7 +47,6 @@ class UnitRootResult:
     p_value: float
     n_periods: int
     n_entities: int
-    case: str = CASE_LABEL
 
     def to_dict(self) -> dict:
         return {
@@ -57,7 +56,7 @@ class UnitRootResult:
             "p_value": self.p_value,
             "n_periods": self.n_periods,
             "n_entities": self.n_entities,
-            "case": self.case,
+            "case": CASE_LABEL,
         }
 
 

@@ -440,6 +440,8 @@ class TestRefusedFlags:
          "--make-panel writes its CSV to --out and takes no --format json"),
         (["--make-panel", "--banks", "2", "--format", "csv", "--out", "{tmp}/p.csv"],
          "--make-panel writes its CSV to --out and takes no --format csv"),
+        (["--make-panel", "--seed", "-1", "--out", "{tmp}/p.csv"],
+         "seed must be a non-negative integer, got -1"),
     ])
     def test_ignored_simulate_flags_exit_2(self, tmp_path, argv, message, capsys):
         assert main(["simulate", *(a.format(tmp=tmp_path) for a in argv)]) == 2
@@ -545,6 +547,29 @@ class TestStrictOutput:
         assert rows == [["bank_id", "year", "nsfr", "tce_rwa"],
                         ['Bank "A", Ltd', "2014", "1.14706", "0.10000"]]
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("argv, coeffs, message", [
+        (["--dcap", "1e308", "--dliq", "1e308"], None,
+         "shock: response delta_roe overflows to -inf"),
+        (["--dcap", "2", "--dliq", "2"], 1e308,
+         "shock: response delta_spread overflows to inf"),
+        (["--phase-in", "2015:2019", "--phase-liq", "2"], 1e308,
+         "phase-in 2016: response delta_spread overflows to inf"),
+    ], ids=["large-shock", "large-coefficient", "phase-in-step"])
+    def test_overflowing_response_exits_2(self, tmp_path, fmt, argv, coeffs, message,
+                                          capsys):
+        """Finite inputs whose responses overflow are refused, in every format,
+        before anything is written."""
+        if coeffs is not None:
+            raw = PAPER_PRESET.to_dict()
+            raw["spread"]["liq"] = coeffs
+            p = tmp_path / "coeffs.json"
+            p.write_text(json.dumps(raw))
+            argv = [*argv, "--coeffs", str(p)]
+        assert main(["simulate", *argv, "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {message}; use a smaller shock or smaller coefficients\n")
+
     def test_phase_in_outside_the_schedule_reads_like_deltas(self, capsys):
         """A window outside the schedule, or reversed, is refused alike by both
         subcommands."""
@@ -572,6 +597,27 @@ class TestJsonInputs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {what} file {p}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("what", ["weights", "coefficients"])
+    def test_value_that_is_no_json_number_exits_2(self, tmp_path, what, value, capsys):
+        """float() would read true as 1.0 and a numeric string as its number."""
+        p = tmp_path / "in.json"
+        if what == "weights":
+            p.write_text(json.dumps({"asf": {"stable_deposits": value}}))
+            argv = ["ratios", "--balance-sheets", str(ROOT / "data" / "balance_sheets.csv"),
+                    "--weights", str(p)]
+            message = (f"malformed weights file {p}: asf weight 'stable_deposits' must be "
+                       f"a JSON number, got {value!r}")
+        else:
+            raw = PAPER_PRESET.to_dict()
+            raw["spread"]["liq"] = value
+            p.write_text(json.dumps(raw))
+            argv = ["simulate", "--dcap", "1", "--coeffs", str(p)]
+            exc = TypeError(f"spread.liq must be a JSON number, got {value!r}")
+            message = f"malformed coefficient set: {exc!r}"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("entry", [
         {"name": "lending", "transfrom": "log"},

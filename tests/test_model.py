@@ -247,9 +247,9 @@ def _by_hand(c, shock):
                    "roe_cap*d_cap": terms[5]},
          "value": roe},
     ]
-    return terms, trace, {"delta_spread": spread, "delta_lending": lending,
-                          "delta_lgdp": lgdp, "delta_roe": roe,
-                          "provenance": c.provenance, "trace": trace}
+    return trace, {"delta_spread": spread, "delta_lending": lending,
+                   "delta_lgdp": lgdp, "delta_roe": roe,
+                   "provenance": c.provenance, "trace": trace}
 
 
 SIGNED_SHOCKS = [
@@ -274,9 +274,8 @@ class TestResultInputs:
         res = propagate_shock(coeffs, shock)
         assert res.coefficients is coeffs and res.shock is shock
         assert (res.provenance, res.mode) == (coeffs.provenance, shock.mode)
-        terms, trace, payload = _by_hand(coeffs, shock)
+        trace, payload = _by_hand(coeffs, shock)
         # repr and json tell -0.0 from 0.0, which == does not
-        assert repr(res.terms) == repr(terms)
         assert repr(res.trace) == repr(tuple(trace))
         got = res.to_dict()
         assert got.pop("note").startswith("shock units follow the scenario narrative")
@@ -295,8 +294,8 @@ class TestResultInputs:
         other = replace(PAPER_PRESET, roe_const=1.0)
         shock = ScenarioInput(delta_cap=1.3, delta_liq=0.7)
         a, b = propagate_shock(PAPER_PRESET, shock), propagate_shock(other, shock)
-        assert (a.delta_spread, a.delta_lending, a.delta_roe, a.terms) == \
-            (b.delta_spread, b.delta_lending, b.delta_roe, b.terms)
+        assert (a.delta_spread, a.delta_lending, a.delta_roe, a.trace) == \
+            (b.delta_spread, b.delta_lending, b.delta_roe, b.trace)
         assert a != b
         assert a == propagate_shock(PAPER_PRESET, ScenarioInput(delta_cap=1.3, delta_liq=0.7))
 
@@ -366,8 +365,12 @@ class TestSimulatePanel:
         with pytest.raises(DataError):
             simulate_panel(PAPER_PRESET, 5, 5, -0.1, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be a non-negative integer, got -1"):
+            simulate_panel(PAPER_PRESET, 5, 5, 0.1, seed=-1)
+
     def test_shape_and_names(self):
-        ds = simulate_panel(PAPER_PRESET, 7, 4, 0.05, seed=2, first_year=2010)
+        ds = simulate_panel(PAPER_PRESET, 7, 4, 0.05, seed=2)
         assert ds.entities == tuple(f"B{i:02d}" for i in range(1, 8))
         assert ds.periods == (2010, 2011, 2012, 2013)
         assert set(ds.columns) == {"liq", "cap", "gdp", "spread", "lending",

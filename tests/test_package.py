@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "load_panel",
     "load_schema",
     "newey_west_auto_bandwidth",
-    "nsfr_to_ltd_delta",
     "phase_in_scenario",
     "propagate_shock",
     "required_deltas",
@@ -66,7 +65,7 @@ HOME = {
               "load_schema", "write_panel"],
     "ratios": ["BANGLADESH_SCHEDULE", "BalanceSheetSnapshot", "CapitalPosition",
                "ComplianceReport", "NsfrWeights", "check_compliance", "compute_nsfr",
-               "compute_tce_rwa", "nsfr_to_ltd_delta", "required_deltas"],
+               "compute_tce_rwa", "required_deltas"],
     "unitroot": ["UnitRootResult", "harris_tzavalis"],
 }
 

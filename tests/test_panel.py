@@ -63,7 +63,6 @@ class TestLoadPanel:
         )
         ds = load_panel(str(p), [VariableSpec("roe")])
         assert math.isnan(ds.column("roe")[0, 1])
-        assert ds.observation_count(["roe"]) == 3
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "dup.csv"

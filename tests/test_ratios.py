@@ -20,7 +20,6 @@ from baselcost import (
     check_compliance,
     compute_nsfr,
     compute_tce_rwa,
-    nsfr_to_ltd_delta,
     required_deltas,
 )
 from baselcost.ratios import RequirementCheck, load_balance_sheets, load_positions
@@ -164,21 +163,6 @@ class TestTceRwa:
         bs = BalanceSheetSnapshot("B", 2014, common_equity=10.0)
         with pytest.raises(DataError, match="rwa"):
             compute_tce_rwa(bs)
-
-
-class TestLtdBridge:
-    def test_unit_slope(self):
-        assert nsfr_to_ltd_delta(1.0) == pytest.approx(-0.46, abs=1e-12)
-
-    def test_zero(self):
-        assert nsfr_to_ltd_delta(0.0) == 0.0
-
-    def test_linear_extrapolation(self):
-        assert nsfr_to_ltd_delta(-2.0) == pytest.approx(0.92, abs=1e-12)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError):
-            nsfr_to_ltd_delta(float("inf"))
 
 
 # Transitional arrangements, typed independently of the implementation;

@@ -96,7 +96,7 @@ class TestContracts:
         assert res.variable == "y"
         assert res.n_entities == 8
         assert res.n_periods == 5
-        assert res.case == "panel-specific means"
+        assert res.to_dict()["case"] == "panel-specific means"
         assert 0.0 <= res.p_value <= 1.0
 
 
