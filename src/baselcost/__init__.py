@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # Each public module and the names it exports.
 _EXPORTS = {
-    "errors": ("DataError", "EstimationError", "NegativeTceWarning"),
+    "errors": ("DataError", "EstimationError"),
     "estimation": ("FitResult", "RegressionSpec", "fit_within_dk",
                    "newey_west_auto_bandwidth"),
     "model": ("PAPER_PRESET", "CoefficientSet", "PhaseInScenario", "ScenarioInput",

@@ -12,7 +12,3 @@ class DataError(ValueError):
 
 class EstimationError(RuntimeError):
     """Estimation cannot proceed or produced no valid result (CLI exit code 3)."""
-
-
-class NegativeTceWarning(UserWarning):
-    """Tangible common equity came out negative; the ratio is reported as-is."""

@@ -98,17 +98,23 @@ class CoefficientSet:
     @classmethod
     def from_dict(cls, raw: dict) -> "CoefficientSet":
         def number(eq: str, term: str) -> float:  # float() reads true and "0.3"
-            value = raw[eq][term]
+            block = raw.get(eq) if isinstance(raw, dict) else None
+            if not isinstance(block, dict) or term not in block:
+                raise DataError(f"missing {eq}.{term}")
+            value = block[term]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{eq}.{term} must be a JSON number, got {value!r}")
-            return float(value)
+                raise DataError(f"{eq}.{term} must be a JSON number, got {value!r}")
+            try:
+                return float(value)
+            except OverflowError:
+                raise DataError(f"{eq}.{term} is too large for a float") from None
         try:
             return cls(
                 **{name: number(eq, term) for eq, term, name in _COEFFICIENTS},
                 provenance=raw.get("provenance", "user"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed coefficient set: {exc!r}") from exc
+        except DataError as exc:
+            raise DataError(f"malformed coefficient set: {exc}") from None
 
     @classmethod
     def from_json(cls, path: str) -> "CoefficientSet":
@@ -155,7 +161,8 @@ class ScenarioInput:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta_cap) and math.isfinite(self.delta_liq)):
-            raise DataError("shock inputs must be finite")
+            name = "delta_liq" if math.isfinite(self.delta_cap) else "delta_cap"
+            raise DataError(f"shock input {name} must be finite, got {getattr(self, name)!r}")
         if self.mode not in SCENARIO_MODES:
             raise DataError(f"mode must be one of {SCENARIO_MODES}, got {self.mode!r}")
         if self.mode == "exogenous":
@@ -248,7 +255,8 @@ def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioRes
     Each response is the sum of coefficient times driver response over the
     equation's regressors, GDP held fixed. The lending-to-GDP response is the
     lending response in chained mode and the caller's delta_lgdp in exogenous
-    mode.
+    mode. A response that overflows (finite inputs, non-finite total) is
+    refused with a DataError naming it.
     """
     d = {"liq": shock.delta_liq, "cap": shock.delta_cap}
     for eq, _, terms in _SCENARIO_STEPS:
@@ -257,6 +265,9 @@ def propagate_shock(coeffs: CoefficientSet, shock: ScenarioInput) -> ScenarioRes
             product = getattr(coeffs, field) * d[driver]
             # the sum starts from the first term: adding to 0.0 would turn -0.0 into 0.0
             total = product if total is None else total + product
+        if not math.isfinite(total):
+            raise DataError(f"response delta_{eq} overflows to {total!r}; "
+                            f"use a smaller shock or smaller coefficients")
         d[eq] = total
         if eq == "lending":
             d["lgdp"] = total if shock.mode == "chained" else float(shock.delta_lgdp)
@@ -289,7 +300,8 @@ def phase_in_scenario(
     total-capital-plus-buffer requirement; the liquidity shock per year is
     caller-supplied (default 0). Results are linear in the shocks, so the
     yearly deltas sum exactly to the cumulative ones. The window must be one
-    that required_deltas accepts.
+    that required_deltas accepts. A refused step's message starts with
+    "phase-in <year>: " or "phase-in cumulative: ".
     """
     required_deltas(from_year, to_year)  # refuses a window outside or reversed
     steps = []
@@ -297,13 +309,18 @@ def phase_in_scenario(
     for year in range(from_year, to_year):
         d_cap = required_deltas(year, year + 1)["total_plus_buffer_pct"]
         total_cap += d_cap
-        shock = ScenarioInput(delta_cap=d_cap, delta_liq=delta_liq_per_year)
-        steps.append((year + 1, propagate_shock(coeffs, shock)))
+        steps.append((year + 1, _phase_step(coeffs, year + 1, d_cap, delta_liq_per_year)))
     total_liq = delta_liq_per_year * len(steps)
-    cumulative = propagate_shock(
-        coeffs, ScenarioInput(delta_cap=total_cap, delta_liq=total_liq)
-    )
+    cumulative = _phase_step(coeffs, "cumulative", total_cap, total_liq)
     return PhaseInScenario(steps=tuple(steps), cumulative=cumulative)
+
+
+def _phase_step(coeffs: CoefficientSet, label: int | str, d_cap: float,
+                d_liq: float) -> ScenarioResult:
+    try:
+        return propagate_shock(coeffs, ScenarioInput(delta_cap=d_cap, delta_liq=d_liq))
+    except DataError as exc:
+        raise DataError(f"phase-in {label}: {exc}") from None
 
 
 # -- synthetic panels and system fitting --------------------------------------

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import asdict, dataclass, fields
 
 from ._bankyear import read_bank_years, read_json
-from .errors import DataError, NegativeTceWarning
+from .errors import DataError
 
 
 @functools.cache
@@ -144,17 +143,16 @@ def compute_tce_rwa(bs: BalanceSheetSnapshot) -> float:
     """Tangible common equity over risk-weighted assets.
 
     Negative tangible equity (intangibles plus goodwill exceeding common
-    equity) is reported with its sign and a NegativeTceWarning, not clamped.
+    equity) is reported with its sign, not clamped, and each such call logs
+    one warning on the `baselcost.ratios` logger.
     """
     if bs.rwa <= 0.0:
         raise DataError(f"{bs.entity} {bs.year}: TCE/RWA needs rwa > 0, got {bs.rwa}")
     tce = bs.common_equity - bs.intangibles - bs.goodwill
     if tce < 0:
-        warnings.warn(
-            f"{bs.entity} {bs.year}: tangible common equity is negative ({tce})",
-            NegativeTceWarning,
-            stacklevel=2,
-        )
+        import logging  # here, so that the ratio and scenario commands load no logging
+        logging.getLogger(__name__).warning(
+            "%s %s: tangible common equity is negative (%r)", bs.entity, bs.year, tce)
     return tce / bs.rwa
 
 
@@ -216,7 +214,8 @@ class CapitalPosition:
             v = getattr(self, name)
             if not 0.0 <= v < math.inf:
                 raise DataError(
-                    f"{self.entity} {self.year}: {name} must be non-negative, got {v!r}"
+                    f"{self.entity} {self.year}: {name} must be non-negative and "
+                    f"finite, got {v!r}"
                 )
 
 

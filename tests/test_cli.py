@@ -48,6 +48,23 @@ class TestRatios:
         assert "1.14706" in out
         assert "0.10000" in out
 
+    def test_negative_tce_is_logged_once_per_row(self, tmp_path, capsys):
+        """The table is as usual; stderr carries one logged line per negative
+        row and nothing else (no warnings-module text)."""
+        p = tmp_path / "neg.csv"
+        p.write_text(BS_HEADER + "\nB01,2014,100,50,0,200,100,100,300,100,100,60,50,850"
+                     "\nB02,2014,100,50,0,200,100,100,300,100,100,90,30,850\n")
+        assert main(["ratios", "--balance-sheets", str(p)]) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "baselcost.cli", "ratios",
+                               "--balance-sheets", str(p)], capture_output=True, text=True,
+                              cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+        assert proc.stderr == ("B01 2014: tangible common equity is negative (-10.0)\n"
+                               "B02 2014: tangible common equity is negative (-20.0)\n")
+
     def test_header_only_file(self, tmp_path, capsys):
         p = tmp_path / "empty.csv"
         p.write_text(BS_HEADER + "\n")
@@ -203,6 +220,16 @@ class TestUnitroot:
 
 
 class TestFit:
+    @pytest.mark.parametrize("model, bandwidths", [("spread", [2]), ("all", [0, 0, 0])])
+    def test_default_bandwidths(self, model, bandwidths, capsys):
+        """Without --dk-lags a single equation takes RegressionSpec's "auto"
+        (2 on five periods) and the system takes fit_system's 0."""
+        assert main(["fit", "--panel", BUNDLED_PANEL, "--model", model,
+                     "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        fits = [out["fit"]] if model == "spread" else list(out["equations"].values())
+        assert [fit["bandwidth_used"] for fit in fits] == bandwidths
+
     def test_single_model_with_lag_override(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "spread",
                      "--dk-lags", "2"]) == 0
@@ -550,9 +577,9 @@ class TestStrictOutput:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     @pytest.mark.parametrize("argv, coeffs, message", [
         (["--dcap", "1e308", "--dliq", "1e308"], None,
-         "shock: response delta_roe overflows to -inf"),
+         "response delta_roe overflows to -inf"),
         (["--dcap", "2", "--dliq", "2"], 1e308,
-         "shock: response delta_spread overflows to inf"),
+         "response delta_spread overflows to inf"),
         (["--phase-in", "2015:2019", "--phase-liq", "2"], 1e308,
          "phase-in 2016: response delta_spread overflows to inf"),
     ], ids=["large-shock", "large-coefficient", "phase-in-step"])
@@ -569,6 +596,12 @@ class TestStrictOutput:
         assert main(["simulate", *argv, "--format", fmt]) == 2
         assert capsys.readouterr() == (
             "", f"error: {message}; use a smaller shock or smaller coefficients\n")
+
+    def test_overflowing_cumulative_names_the_step(self, capsys):
+        """Each yearly liquidity shock is finite; only their sum is not."""
+        assert main(["simulate", "--phase-in", "2015:2019", "--phase-liq", "1e308"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: phase-in cumulative: shock input delta_liq must be finite, got inf\n")
 
     def test_phase_in_outside_the_schedule_reads_like_deltas(self, capsys):
         """A window outside the schedule, or reversed, is refused alike by both
@@ -614,8 +647,7 @@ class TestJsonInputs:
             raw["spread"]["liq"] = value
             p.write_text(json.dumps(raw))
             argv = ["simulate", "--dcap", "1", "--coeffs", str(p)]
-            exc = TypeError(f"spread.liq must be a JSON number, got {value!r}")
-            message = f"malformed coefficient set: {exc!r}"
+            message = f"malformed coefficient set: spread.liq must be a JSON number, got {value!r}"
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

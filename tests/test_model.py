@@ -68,6 +68,33 @@ class TestPreset:
         with pytest.raises(DataError):
             CoefficientSet(*([0.0] * 10), provenance="guess")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.pop("spread"), "missing spread.const"),
+        (lambda raw: raw["lending"].pop("gdp"), "missing lending.gdp"),
+        (lambda raw: raw.update(roe=[1.0]), "missing roe.const"),
+        (lambda raw: raw["spread"].update(liq="0.5"),
+         "spread.liq must be a JSON number, got '0.5'"),
+        (lambda raw: raw["spread"].update(liq=None), "spread.liq must be a JSON number, got None"),
+        (lambda raw: raw["spread"].update(liq=10**400), "spread.liq is too large for a float"),
+        (lambda raw: raw["spread"].update(liq=float("inf")),
+         "coefficient spread_liq must be finite"),
+        (lambda raw: raw.update(provenance="guess"),
+         "provenance must be one of ('paper-preset', 'fitted', 'user'), got 'guess'"),
+    ], ids=["block", "key", "block-not-object", "string", "null", "huge-int", "inf",
+            "provenance"])
+    def test_malformed_dict_names_the_field(self, edit, message):
+        raw = PAPER_PRESET.to_dict()
+        edit(raw)
+        with pytest.raises(DataError) as info:
+            CoefficientSet.from_dict(raw)
+        assert str(info.value) == f"malformed coefficient set: {message}"
+
+    @pytest.mark.parametrize("raw", [[], "spread", 1.0, None])
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(DataError) as info:
+            CoefficientSet.from_dict(raw)
+        assert str(info.value) == "malformed coefficient set: missing spread.const"
+
 
 class TestEquationTable:
     def test_field_names_follow_table(self):
@@ -169,14 +196,22 @@ class TestPropagation:
         assert res.delta_roe == pytest.approx(1.36 * -0.2 - 0.49, abs=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^shock input delta_cap must be finite, got inf$"):
             ScenarioInput(delta_cap=float("inf"))
+        with pytest.raises(DataError, match=r"^shock input delta_liq must be finite, got nan$"):
+            ScenarioInput(delta_cap=1.0, delta_liq=float("nan"))
         with pytest.raises(DataError):
             ScenarioInput(mode="exogenous")
         with pytest.raises(DataError):
             ScenarioInput(mode="chained", delta_lgdp=0.1)
         with pytest.raises(DataError):
             ScenarioInput(mode="levels")
+
+    def test_overflowing_response_is_refused(self):
+        with pytest.raises(DataError) as info:
+            propagate_shock(PAPER_PRESET, ScenarioInput(delta_cap=1e308, delta_liq=1e308))
+        assert str(info.value) == ("response delta_roe overflows to -inf; "
+                                   "use a smaller shock or smaller coefficients")
 
     def test_trace_is_self_consistent(self):
         res = propagate_shock(PAPER_PRESET, ScenarioInput(delta_liq=0.7, delta_cap=1.3))
@@ -318,6 +353,15 @@ class TestPhaseIn:
         series = phase_in_scenario(PAPER_PRESET, 2017, 2017)
         assert series.steps == ()
         assert series.cumulative.delta_spread == 0.0
+
+    def test_overflow_names_the_step(self):
+        with pytest.raises(DataError) as info:
+            phase_in_scenario(PAPER_PRESET, delta_liq_per_year=1e308)
+        assert str(info.value) == ("phase-in cumulative: shock input delta_liq must be "
+                                   "finite, got inf")
+        big = replace(PAPER_PRESET, spread_liq=1e308)
+        with pytest.raises(DataError, match=r"^phase-in 2016: response delta_spread overflows"):
+            phase_in_scenario(big, 2015, 2019, delta_liq_per_year=2.0)
 
     def test_years_outside_schedule_rejected(self):
         with pytest.raises(DataError):

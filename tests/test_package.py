@@ -2,7 +2,7 @@
 
 `import baselcost` loads no public module; each public name is imported from
 its home module on first access. The scenario, ratio and phase-in
-subcommands run without numpy or scipy; no subcommand loads scipy.
+subcommands run without numpy, scipy or logging; no subcommand loads scipy.
 """
 
 import importlib
@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "DataError",
     "EstimationError",
     "FitResult",
-    "NegativeTceWarning",
     "NsfrWeights",
     "PAPER_PRESET",
     "PanelDataset",
@@ -55,7 +54,7 @@ PUBLIC_NAMES = [
 ]
 
 HOME = {
-    "errors": ["DataError", "EstimationError", "NegativeTceWarning"],
+    "errors": ["DataError", "EstimationError"],
     "estimation": ["FitResult", "RegressionSpec", "fit_within_dk",
                    "newey_west_auto_bandwidth"],
     "model": ["PAPER_PRESET", "CoefficientSet", "PhaseInScenario", "ScenarioInput",
@@ -70,7 +69,7 @@ HOME = {
 }
 
 # Runs `main(argv)` (or only `import baselcost` for an empty argv) and prints
-# which of numpy and scipy ended up loaded.
+# which of numpy, scipy and logging ended up loaded.
 PROBE = """\
 import contextlib, io, sys
 import baselcost
@@ -78,7 +77,7 @@ if sys.argv[1:]:
     from baselcost.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print(" ".join(m for m in ("numpy", "scipy") if m in sys.modules))
+print(" ".join(m for m in ("numpy", "scipy", "logging") if m in sys.modules))
 """
 
 
@@ -140,4 +139,5 @@ class TestLazyImports:
         ["unitroot", "--panel", "data/synthetic_panel.csv", "--vars", "liq,cap"],
     ], ids=" ".join)
     def test_estimation_commands_load_numpy_not_scipy(self, argv):
-        assert _python(PROBE, *argv) == "numpy"
+        # estimation reports truncated leverage eigenvalues through logging
+        assert _python(PROBE, *argv) in ("numpy", "numpy logging")

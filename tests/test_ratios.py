@@ -1,6 +1,7 @@
 """Regulatory ratio tests: NSFR, TCE/RWA, schedule fidelity, compliance, CSV ingest."""
 
 import dataclasses
+import logging
 import math
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ from baselcost import (
     BalanceSheetSnapshot,
     CapitalPosition,
     DataError,
-    NegativeTceWarning,
     NsfrWeights,
     check_compliance,
     compute_nsfr,
@@ -142,6 +142,11 @@ class TestRecordValidation:
         with pytest.raises(DataError, match="nsfr must be non-negative"):
             CapitalPosition("B", 2014, 0.0, 0.0, 0.0, 0.0, 0.0, value)
 
+    def test_position_message_asks_for_a_finite_value(self):
+        with pytest.raises(DataError) as info:
+            CapitalPosition("B", 2014, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert str(info.value) == "B 2014: cet1_ratio_pct must be non-negative and finite, got inf"
+
 
 class TestTceRwa:
     def test_worked_example(self):
@@ -152,12 +157,15 @@ class TestTceRwa:
                                   other_assets_ex_cash_interbank=1.0)
         assert compute_tce_rwa(bs) == pytest.approx(0.125, abs=1e-12)
 
-    def test_negative_tce_reported_with_warning(self):
+    def test_negative_tce_reported_with_warning(self, caplog):
         bs = BalanceSheetSnapshot("B", 2014, common_equity=10.0, intangibles=8.0,
                                   goodwill=8.0, rwa=100.0)
-        with pytest.warns(NegativeTceWarning):
+        with caplog.at_level(logging.WARNING, logger="baselcost.ratios"):
             value = compute_tce_rwa(bs)
         assert value == pytest.approx(-0.06, abs=1e-12)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("baselcost.ratios", logging.WARNING,
+             "B 2014: tangible common equity is negative (-6.0)")]
 
     def test_zero_rwa_rejected(self):
         bs = BalanceSheetSnapshot("B", 2014, common_equity=10.0)
