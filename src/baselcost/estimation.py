@@ -12,10 +12,10 @@ conditions cross-sectionally into one score vector per period,
 
     h_t = sum_i x_it * e_it,
 
-then apply a Bartlett-kernel HAC estimator to the h_t series and sandwich it
-between (X'X)^-1 factors. The automatic bandwidth is the Newey-West rule
-floor(4 * (T/100)^(2/9)) on the number of periods, and the bandwidth
-actually used is always reported.
+then apply a Bartlett-kernel HAC estimator to the T x k table h, its only
+input, and sandwich the result between (X'X)^-1 factors. The automatic
+bandwidth is the Newey-West rule floor(4 * (T/100)^(2/9)) on the number of
+periods, and the bandwidth actually used is always reported.
 
 Small-sample behaviour matters here: with a handful of periods the kernel
 matrix is built from very few score vectors and the plain estimator is
@@ -266,14 +266,8 @@ def _check_rank(Z: np.ndarray, svals: np.ndarray, names: Sequence[str]) -> None:
         raise EstimationError(f"design matrix is rank deficient; collinear columns: {guilty}")
 
 
-def _dk_middle(
-    Z: np.ndarray, scores: np.ndarray, periods: list[slice], bandwidth: int
-) -> np.ndarray:
-    """Bartlett-weighted HAC matrix of the per-period score sums.
-
-    Z and scores are in the period-sorted row order; periods are its slices.
-    """
-    h = np.array([Z[t].T @ scores[t] for t in periods])
+def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Bartlett-weighted HAC matrix of the per-period score sums h (T x k)."""
     S = h.T @ h
     for j in range(1, bandwidth + 1):
         w = 1.0 - j / (bandwidth + 1.0)
@@ -324,6 +318,14 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
             n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
         )
     return out
+
+
+def _score_table(rows: _Rows, Z: np.ndarray, X: np.ndarray, resid: np.ndarray,
+                 small_sample: bool) -> np.ndarray:
+    """The T x kz table h of score sums h_t = Z_t' s_t over the periods that keep
+    a row: s is resid, or with small_sample its leverage adjustment on X."""
+    s = _leverage_adjusted_residuals(X, rows, resid) if small_sample else resid[rows.order]
+    return np.array([Z[rows.order[t]].T @ s[t] for t in rows.periods])
 
 
 def _t_pvalue(t: float, df: int) -> float:
@@ -436,12 +438,10 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         cov = np.full((kz, kz), np.nan)
     else:
         ztz_inv = np.linalg.inv(Z.T @ Z)
-        if spec.small_sample:
-            scores = _leverage_adjusted_residuals(X_dm if spec.fixed_effects else Z, rows, resid)
-            factor = (n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
-        else:
-            scores, factor = resid[rows.order], 1.0
-        S = _dk_middle(Z[rows.order], scores, rows.periods, bandwidth) * factor
+        h = _score_table(rows, Z, X_dm if spec.fixed_effects else Z, resid, spec.small_sample)
+        factor = ((n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
+                  if spec.small_sample else 1.0)
+        S = _dk_middle(h, bandwidth) * factor
         cov = ztz_inv @ S @ ztz_inv
         cov = (cov + cov.T) / 2.0
 
