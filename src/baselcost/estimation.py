@@ -280,9 +280,10 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
     """Per-period leverage adjustment M_t^(+1/2) r_t, in the period-sorted row order.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
-    with U = X L and L L' = pinv(X'X). Under fixed effects X is the demeaned
-    design and d = 1 - 1/T_i (each entity appears at most once per period);
-    in a pooled fit X is the full design and d = 1.
+    with U = X L and L L' = pinv(X'X), taken on unit-norm columns so that its
+    cutoff ignores units. Under fixed effects X is the demeaned design and
+    d = 1 - 1/T_i (each entity appears at most once per period); in a pooled
+    fit X is the full design and d = 1.
 
     The block is never formed. Grouping the period's rows by d, span{Q_j},
     with Q_j from a reduced QR of group j's rows of U, is invariant under M_t;
@@ -291,9 +292,11 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
     root. Eigenvalues at most PINV_RTOL are zeroed, and the number zeroed is
     logged.
     """
-    w, v = np.linalg.eigh(X.T @ X)
+    gram = X.T @ X
+    scale = np.sqrt(np.diag(gram))  # nonzero: the rank check has passed
+    w, v = np.linalg.eigh(gram / np.outer(scale, scale))
     keep = w > 1e-15 * w[-1]  # np.linalg.pinv's cutoff
-    U = X[rows.order] @ (v[:, keep] / np.sqrt(w[keep]))
+    U = X[rows.order] @ (v[:, keep] / np.sqrt(w[keep]) / scale[:, None])
     r = resid[rows.order]
 
     out = np.empty_like(r)

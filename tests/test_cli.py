@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,14 @@ class TestSimulate:
         text = out_path.read_text()
         assert text.startswith("bank_id,year,")
         assert main(["unitroot", "--panel", str(out_path), "--vars", "liq"]) == 0
+
+    def test_bundled_panel_regenerates_byte_for_byte(self, tmp_path):
+        # the command data/README.md gives for the bundled panel, into tmp_path
+        readme = (ROOT / "data" / "README.md").read_text()
+        argv = re.search(r"`baselcost (simulate --make-panel[^`]*)`", readme).group(1).split()
+        argv[argv.index("--out") + 1] = str(tmp_path / "panel.csv")
+        assert main(argv) == 0
+        assert (tmp_path / "panel.csv").read_bytes() == Path(BUNDLED_PANEL).read_bytes()
 
     def test_make_panel_without_out_exits_2(self, capsys):
         assert main(["simulate", "--make-panel"]) == 2

@@ -8,6 +8,7 @@ The oracles live here in the test module and share no code with the
 implementation.
 """
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -261,6 +262,21 @@ class TestCovariance:
         np.testing.assert_allclose(fit.covariance, V, atol=1e-10, rtol=0)
         assert fit.bandwidth_used == 3
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bartlett_kernel_is_direct_sum_and_psd(self, data):
+        n_per, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4))
+        exponents = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h = rng.normal(0, 1, (n_per, k)) * 10.0 ** np.array(exponents)
+        bw = data.draw(st.integers(0, n_per - 1))
+        S = estimation._dk_middle(h, bw)
+        direct = sum((1.0 - abs(t - s) / (bw + 1.0)) * np.outer(h[t], h[s])
+                     for t in range(n_per) for s in range(n_per) if abs(t - s) <= bw)
+        top = np.abs(direct).max()
+        np.testing.assert_allclose(S, direct, atol=1e-12 * top, rtol=0)
+        assert np.linalg.eigvalsh(S).min() >= -1e-12 * top
+
     def test_small_sample_factor_is_exact_scalar_without_leverage_adjustment(self):
         # the plain and adjusted modes differ only by leverage rescaling and
         # the df factor; the leverage adjustment is checked against the dense
@@ -283,14 +299,14 @@ class TestCovariance:
     def test_scale_equivariance_of_t_stats(self):
         rng = np.random.default_rng(24)
         ds = random_panel(rng, n_ent=5, n_per=8, n_reg=2)
-        scaled = ds.with_column("x0", ds.column("x0") * 250.0)
-        for small_sample in (True, False):
+        for factor, small_sample in itertools.product((250.0, 1e8), (True, False)):
+            scaled = ds.with_column("x0", ds.column("x0") * factor)
             a = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1"),
                                                  small_sample=small_sample))
             b = fit_within_dk(scaled, RegressionSpec("y", ("x0", "x1"),
                                                      small_sample=small_sample))
-            assert b.coef("x0") == pytest.approx(a.coef("x0") / 250.0, rel=1e-10)
-            assert b.se("x0") == pytest.approx(a.se("x0") / 250.0, rel=1e-10)
+            assert b.coef("x0") == pytest.approx(a.coef("x0") / factor, rel=1e-10)
+            assert b.se("x0") == pytest.approx(a.se("x0") / factor, rel=1e-10)
             i = a.param_names.index("x0")
             assert b.t_stats[i] == pytest.approx(a.t_stats[i], rel=1e-10)
             assert b.p_values[i] == pytest.approx(a.p_values[i], rel=1e-10)
