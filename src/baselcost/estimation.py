@@ -32,7 +32,8 @@ is never built: it is a diagonal matrix minus a rank-k term, so its
 pseudo-inverse square root is exact from a reduced QR per group of entities
 with equal T_i and one eigendecomposition of size at most (groups x k). The
 cost is O(n k^2) time and O(n k) memory. Eigenvalues at most PINV_RTOL
-are zeroed, and a fit that zeroes any logs one warning with the count.
+are zeroed, and a fit that zeroes any logs one warning with the count; a fit
+whose leverage basis cuts a direction of a near-collinear design logs another.
 
 Specs fitted together by fit_within_dk_many (as model.fit_system does)
 that keep the same rows share one assembly of those rows.
@@ -207,11 +208,14 @@ def _usable_rows(
 
 
 class _Rows:
-    """The rows one keep mask selects, in entity-major order, shared by the
-    specs fitted on them: entity and period codes, labels, one stable sort by
-    (period, d) cut into per-period slices of equal-d groups (d = 1 - 1/T_i
-    under fixed effects, 1 pooled), and a memo of each column's values and
-    entity-demeaned values at the rows. Built afresh by every fitting call.
+    """The rows one keep mask selects, shared by the specs fitted on them.
+
+    The rows are stored in one stable sort by (period, d), with d = 1 - 1/T_i
+    under fixed effects and 1 pooled: entity codes, d, and each column's
+    memoised values and entity-demeaned values are in that order, cut into
+    per-period slices of equal-d groups. The labels row_entities and
+    row_periods stay in entity-major order, and stored row s is entity-major
+    row order[s]. Built afresh by every fitting call.
     """
 
     def __init__(self, ds: PanelDataset, keep: np.ndarray, dropped: tuple[str, ...],
@@ -224,22 +228,22 @@ class _Rows:
         self.row_periods = tuple(np.array(ds.periods, dtype=object)[pj].tolist())
         # compact codes over the entities and periods that keep any row
         ent_used, per_used = keep.any(axis=1), keep.any(axis=0)
-        self.ent_code = (np.cumsum(ent_used) - 1)[ei]
+        ent_code = (np.cumsum(ent_used) - 1)[ei]
         per_code = (np.cumsum(per_used) - 1)[pj]
         self.n_ent, self.n_per = int(ent_used.sum()), int(per_used.sum())
-        self.counts = np.bincount(self.ent_code).astype(float)  # T_i per entity
-        d = 1.0 - 1.0 / self.counts[self.ent_code] if fixed_effects else np.ones(self.n)
+        self.counts = np.bincount(ent_code).astype(float)  # T_i per entity
+        d = 1.0 - 1.0 / self.counts[ent_code] if fixed_effects else np.ones(self.n)
 
         self.order = np.lexsort((d, per_code))
-        p, self.d = per_code[self.order], d[self.order]
+        p, self.d, self.ent_code = per_code[self.order], d[self.order], ent_code[self.order]
         starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (self.d[1:] != self.d[:-1])])
         spans = zip(starts.tolist(), np.r_[starts[1:], p.size].tolist())
-        # per period, the slices of the sorted rows that share one d
+        # per period, the slices of the rows that share one d
         self.groups = [[slice(a, b) for a, b in period_spans]
                        for _, period_spans in groupby(spans, key=lambda span: p[span[0]])]
         self.periods = [slice(g[0].start, g[-1].stop) for g in self.groups]
 
-        self._ds, self._ei, self._pj = ds, ei, pj
+        self._ds, self._ei, self._pj = ds, ei[self.order], pj[self.order]
         self._values: dict[str, np.ndarray] = {}
         self._demeaned: dict[str, np.ndarray] = {}
 
@@ -256,14 +260,20 @@ class _Rows:
         return self._demeaned[name]
 
 
+def _collinear(Z: np.ndarray, names: Sequence[str], problem: str) -> EstimationError:
+    """An error stating `problem` that names the columns loading on Z's
+    smallest singular direction."""
+    _, _, vh = np.linalg.svd(Z)
+    load = np.abs(vh[-1])
+    guilty = [n for n, w in zip(names, load) if w > 0.25 * load.max()]
+    return EstimationError(f"{problem}; collinear columns: {guilty}")
+
+
 def _check_rank(Z: np.ndarray, svals: np.ndarray, names: Sequence[str]) -> None:
     """Raise naming the collinear columns if Z's singular values `svals`
     (largest first) fall below RANK_RTOL relative to the largest."""
     if svals[0] == 0 or svals[-1] / svals[0] < RANK_RTOL:
-        _, _, vh = np.linalg.svd(Z)
-        load = np.abs(vh[-1])
-        guilty = [n for n, w in zip(names, load) if w > 0.25 * load.max()]
-        raise EstimationError(f"design matrix is rank deficient; collinear columns: {guilty}")
+        raise _collinear(Z, names, "design matrix is rank deficient")
 
 
 def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -277,7 +287,7 @@ def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
 
 
 def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) -> np.ndarray:
-    """Per-period leverage adjustment M_t^(+1/2) r_t, in the period-sorted row order.
+    """Per-period leverage adjustment M_t^(+1/2) r_t of the rows in `rows`' order.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
     with U = X L and L L' = pinv(X'X), taken on unit-norm columns so that its
@@ -290,16 +300,24 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
     on its orthogonal complement M_t acts as d_j >= 1/2 on group j. So one
     eigh of size at most (groups x k) gives the exact pseudo-inverse square
     root. Eigenvalues at most PINV_RTOL are zeroed, and the number zeroed is
-    logged.
+    logged, as is the number of directions the basis L cuts. The Gram matrix
+    squares X's condition number, so L cuts once X's singular-value ratio is
+    below about 3e-8, although the rank check admits ratios down to RANK_RTOL.
     """
     gram = X.T @ X
     scale = np.sqrt(np.diag(gram))  # nonzero: the rank check has passed
     w, v = np.linalg.eigh(gram / np.outer(scale, scale))
     keep = w > 1e-15 * w[-1]  # np.linalg.pinv's cutoff
-    U = X[rows.order] @ (v[:, keep] / np.sqrt(w[keep]) / scale[:, None])
-    r = resid[rows.order]
+    n_cut = int(w.size - keep.sum())
+    if n_cut:  # the rank check passed, so each cut direction is a real one lost
+        log.warning(
+            "small-sample covariance: %d direction%s of the leverage basis cut "
+            "(unit-norm Gram eigenvalue at most 1e-15 of the largest)",
+            n_cut, "" if n_cut == 1 else "s",
+        )
+    U = X @ (v[:, keep] / np.sqrt(w[keep]) / scale[:, None])
 
-    out = np.empty_like(r)
+    out = np.empty_like(resid)
     n_zeroed = 0
     for groups in rows.groups:
         dj = rows.d[[g.start for g in groups]]
@@ -310,10 +328,10 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
         n_zeroed += int((lam <= PINV_RTOL).sum())
         f_lam = np.where(lam > PINV_RTOL, 1.0 / np.sqrt(np.clip(lam, PINV_RTOL, None)), 0.0)
 
-        qtr = [q.T @ r[g] for q, g in zip(qs, groups)]
+        qtr = [q.T @ resid[g] for q, g in zip(qs, groups)]
         coords = np.split(W @ (f_lam * (W.T @ np.concatenate(qtr))), np.cumsum(sizes)[:-1])
         for q, g, c, a, f in zip(qs, groups, qtr, coords, 1.0 / np.sqrt(dj)):
-            out[g] = q @ a + f * (r[g] - q @ c)
+            out[g] = q @ a + f * (resid[g] - q @ c)
     if n_zeroed:
         log.warning(
             "small-sample covariance: %d leverage eigenvalue%s at or below %g "
@@ -326,9 +344,10 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
 def _score_table(rows: _Rows, Z: np.ndarray, X: np.ndarray, resid: np.ndarray,
                  small_sample: bool) -> np.ndarray:
     """The T x kz table h of score sums h_t = Z_t' s_t over the periods that keep
-    a row: s is resid, or with small_sample its leverage adjustment on X."""
-    s = _leverage_adjusted_residuals(X, rows, resid) if small_sample else resid[rows.order]
-    return np.array([Z[rows.order[t]].T @ s[t] for t in rows.periods])
+    a row: s is resid, or with small_sample its leverage adjustment on X. Z, X
+    and resid are in `rows`' (period, d) order."""
+    s = _leverage_adjusted_residuals(X, rows, resid) if small_sample else resid
+    return np.array([Z[t].T @ s[t] for t in rows.periods])
 
 
 def _t_pvalue(t: float, df: int) -> float:
@@ -399,18 +418,16 @@ def _t_pvalue(t: float, df: int) -> float:
 
 def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     n, k, n_per = rows.n, len(spec.regressors), rows.n_per
-    y = rows.values(spec.dependent)
-    X = np.column_stack([rows.values(r) for r in spec.regressors])
+    column = rows.demeaned if spec.fixed_effects else rows.values
+    X, y = np.column_stack([column(r) for r in spec.regressors]), column(spec.dependent)
+    Z, y_reg = X, y
     if spec.fixed_effects:
-        y_dm = rows.demeaned(spec.dependent)
-        X_dm = np.column_stack([rows.demeaned(r) for r in spec.regressors])
-        Z, y_reg = X_dm, y_dm
         if spec.include_intercept:  # add the grand means back
-            Z, y_reg = X_dm + X.mean(axis=0), y_dm + y.mean()
-        tss = float(y_dm @ y_dm)
+            Z = X + [rows.values(r).mean() for r in spec.regressors]
+            y_reg = y + rows.values(spec.dependent).mean()
+        tss = float(y @ y)
         n_params = k + rows.n_ent
     else:
-        Z, y_reg = X, y
         tss = float(((y - y.mean()) ** 2).sum()) if spec.include_intercept else float(y @ y)
         n_params = k + int(spec.include_intercept)
     names = spec.regressors
@@ -440,8 +457,12 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         # exact fit: coefficients are well defined, inference is not
         cov = np.full((kz, kz), np.nan)
     else:
-        ztz_inv = np.linalg.inv(Z.T @ Z)
-        h = _score_table(rows, Z, X_dm if spec.fixed_effects else Z, resid, spec.small_sample)
+        try:  # Z'Z squares Z's condition number, which the rank check bounds by 1e10
+            ztz_inv = np.linalg.inv(Z.T @ Z)
+        except np.linalg.LinAlgError:
+            raise _collinear(Z, names, "design matrix is too ill-conditioned to invert "
+                             "Z'Z for the covariance") from None
+        h = _score_table(rows, Z, X if spec.fixed_effects else Z, resid, spec.small_sample)
         factor = ((n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
                   if spec.small_sample else 1.0)
         S = _dk_middle(h, bandwidth) * factor
@@ -454,6 +475,8 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
     pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])  # nan t at df = 0
     r2 = 1.0 - ssr / tss if tss > 0 else math.nan
+    residuals = np.empty_like(resid)
+    residuals[rows.order] = resid  # back to the labels' entity-major order
 
     return FitResult(
         param_names=names,
@@ -462,7 +485,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         std_errors=se,
         t_stats=tstat,
         p_values=pvals,
-        residuals=resid,
+        residuals=residuals,
         r_squared_within=r2,
         n_obs=n,
         n_entities=rows.n_ent,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baselcost import PAPER_PRESET, simulate_panel, write_panel
+from baselcost import PAPER_PRESET, PanelDataset, simulate_panel, write_panel
 from baselcost.cli import main
 
 BS_HEADER = (
@@ -255,6 +255,26 @@ class TestFit:
         assert main(["fit", "--panel", str(p), "--model", "custom",
                      "--dep", "spread", "--regressors", "liq,liq2"]) == 3
         assert "collinear" in capsys.readouterr().err
+
+    def test_near_collinear_design_exits_0_or_3(self, tmp_path, capsys):
+        # x1 = x0 + 1e-9 * noise passes the rank check; where Z'Z cannot be
+        # inverted the fit is an estimation error, not a numpy traceback
+        codes = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x0 = rng.normal(size=(8, 6))
+            x1 = rng.normal(size=(8, 6))
+            y = rng.normal(size=(8, 6)) + x0
+            ds = PanelDataset(tuple(f"B{i}" for i in range(8)), tuple(range(2010, 2016)),
+                              {"y": y, "x0": x0, "x1": x0 + 1e-9 * x1})
+            p = tmp_path / f"near_{seed}.csv"
+            write_panel(ds, str(p))
+            for pooled in ([], ["--no-fe"]):
+                codes.append(main(["fit", "--panel", str(p), "--model", "custom", "--dep", "y",
+                                   "--regressors", "x0,x1", *pooled]))
+                if codes[-1] == 3:
+                    assert "collinear columns" in capsys.readouterr().err
+        assert set(codes) == {0, 3}
 
     def test_custom_needs_dep_and_regressors(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "custom"]) == 2

@@ -64,6 +64,17 @@ def mixed_length_panel(rng, n_ent=12, n_per=5, n_reg=2):
     return ds.with_column("y", y)
 
 
+def near_collinear_panel(seed):
+    """8 x 6 panel in which x1 = x0 + 1e-9 * noise: the design passes the rank
+    check, but Z'Z squares its condition number past what inv can invert."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(8, 6))
+    x1 = rng.normal(size=(8, 6))
+    y = rng.normal(size=(8, 6)) + x0
+    return make_panel([f"B{i}" for i in range(8)], range(2010, 2016),
+                      y=y, x0=x0, x1=x0 + 1e-9 * x1)
+
+
 def lsdv_oracle(ds, dep, regs):
     """Slopes from OLS of dep on entity dummies plus regressors (listwise rows)."""
     y = ds.column(dep)
@@ -214,6 +225,27 @@ class TestPointEstimates:
                 [rows[ents == e].mean() for e in ents]
             )
             assert abs(float(demeaned @ fit.residuals)) < 1e-8
+
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residuals_match_dummy_variable_oracle_at_their_labels(self, seed, fixed_effects):
+        # unbalanced: several d-groups per period, so rows left in the fit's
+        # internal order would pair residuals with the wrong labels
+        ds = mixed_length_panel(np.random.default_rng(seed))
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects))
+        y = ds.column("y")
+        ei, pj = np.nonzero(~np.isnan(y))
+        effects = (ei[:, None] == np.unique(ei)).astype(float) if fixed_effects else \
+            np.ones((ei.size, 1))
+        design = np.column_stack([effects, ds.column("x0")[ei, pj], ds.column("x1")[ei, pj]])
+        theta, *_ = np.linalg.lstsq(design, y[ei, pj], rcond=None)
+        labels = zip(np.array(ds.entities)[ei].tolist(), np.array(ds.periods)[pj].tolist())
+        oracle = dict(zip(labels, y[ei, pj] - design @ theta))
+        cells = list(zip(fit.row_entities, fit.row_periods))
+        assert sorted(cells) == sorted(oracle)
+        expected = np.array([oracle[cell] for cell in cells])
+        np.testing.assert_allclose(fit.residuals, expected,
+                                   atol=1e-10 * np.abs(expected).max(), rtol=0)
 
     def test_row_labels_name_the_kept_cells(self):
         ds = make_panel(["A", "B"], [2010, 2011, 2012],
@@ -449,6 +481,17 @@ class TestSmallSampleCovariance:
             [message] = estimation_warnings(caplog)
             assert "1 leverage eigenvalue " in message
 
+    def test_leverage_basis_cut_warns(self, caplog):
+        # x1 = x0 + 3e-8 * noise passes the rank check, but the unit-norm
+        # Gram matrix has an eigenvalue ratio of about 2.4e-16, below the
+        # 1e-15 cutoff, so the basis drops a direction of the design
+        ds = random_panel(np.random.default_rng(3), 8, 6, 2)
+        ds = ds.with_column("x1", ds.column("x0") + 3e-8 * ds.column("x1"))
+        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=False, dk_bandwidth=0)
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            fit_within_dk(ds, spec)
+        assert "1 direction of the leverage basis cut" in "\n".join(estimation_warnings(caplog))
+
     def test_wide_fit_never_builds_period_blocks(self):
         # one dense 3000 x 3000 block alone is 69 MiB; the low-rank form
         # needs O(n k) memory
@@ -566,6 +609,21 @@ class TestErrors:
                         x=x, x_copy=x.copy(), y=rng.normal(0, 1, (4, 6)))
         with pytest.raises(EstimationError, match="x.*x_copy|x_copy.*x"):
             fit_within_dk(ds, RegressionSpec("y", ("x", "x_copy")))
+
+    def test_near_collinear_design_raises_estimation_error(self):
+        # cond(Z) up to 1e10 passes the rank check; inverting Z'Z, at up to
+        # 1e20, may then hit an exact zero pivot, which must not escape as a
+        # numpy LinAlgError
+        refused = 0
+        for seed in range(40):
+            for fixed_effects in (True, False):
+                spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects)
+                try:
+                    fit_within_dk(near_collinear_panel(seed), spec)
+                except EstimationError as exc:
+                    assert "collinear columns: " in str(exc) and "'x1'" in str(exc)
+                    refused += 1
+        assert refused > 0
 
     def test_time_invariant_regressor_under_fe_is_collinear(self):
         rng = np.random.default_rng(42)
