@@ -2,20 +2,25 @@
 
 The point estimator is the within (fixed-effects) estimator: entity-demean
 the dependent variable and the regressors, then run OLS. When an intercept
-is requested together with fixed effects, grand means are added back to the
-demeaned data so the constant is estimated directly (the usual add-back
-construction); slopes are unchanged by this and equal the plain within
-estimates.
+is requested together with fixed effects, the constant is that of the usual
+add-back construction (grand means added back to the demeaned data),
+mean(y) - m'b for the regressors' grand means m and within slopes b.
+
+Each fit factors its design once: a thin SVD of the regressors (demeaned
+under fixed effects, [1, X] pooled) with each column divided by the norm of
+its raw values. The same factors give the rank check, the solve, the
+leverage basis and the covariance's bread; Z'Z is never formed.
 
 The covariance follows Driscoll and Kraay (1998): collapse the moment
 conditions cross-sectionally into one score vector per period,
 
-    h_t = sum_i x_it * e_it,
+    h_t = sum_i z_it * e_it,
 
-then apply a Bartlett-kernel HAC estimator to the T x k table h, its only
-input, and sandwich the result between (X'X)^-1 factors. The automatic
-bandwidth is the Newey-West rule floor(4 * (T/100)^(2/9)) on the number of
-periods, and the bandwidth actually used is always reported.
+and apply a Bartlett-kernel HAC estimator. The bread (Z'Z)^-1 is folded into
+the table first, so the kernel's only input is the T x p table of
+per-period influences g_t = (Z'Z)^-1 h_t, and its output is the covariance.
+The automatic bandwidth is the Newey-West rule floor(4 * (T/100)^(2/9)) on
+the number of periods, and the bandwidth actually used is always reported.
 
 Small-sample behaviour matters here: with a handful of periods the kernel
 matrix is built from very few score vectors and the plain estimator is
@@ -32,8 +37,7 @@ is never built: it is a diagonal matrix minus a rank-k term, so its
 pseudo-inverse square root is exact from a reduced QR per group of entities
 with equal T_i and one eigendecomposition of size at most (groups x k). The
 cost is O(n k^2) time and O(n k) memory. Eigenvalues at most PINV_RTOL
-are zeroed, and a fit that zeroes any logs one warning with the count; a fit
-whose leverage basis cuts a direction of a near-collinear design logs another.
+are zeroed, and a fit that zeroes any logs one warning with the count.
 
 Specs fitted together by fit_within_dk_many (as model.fit_system does)
 that keep the same rows share one assembly of those rows.
@@ -54,7 +58,9 @@ from .panel import PanelDataset, entity_demean
 
 log = logging.getLogger(__name__)
 
-RANK_RTOL = 1e-10  # smallest/largest singular value ratio below this = rank deficient
+# A design whose smallest singular value, on columns of unit raw (not
+# demeaned) norm, is below this is rank deficient.
+RANK_RTOL = 1e-10
 # Leverage eigenvalues at or below this are zeroed. Every period block of
 # I - H has its eigenvalues in [0, 1], so the bound is relative to 1, not to
 # the block's own largest, which may itself be rounding noise.
@@ -260,24 +266,8 @@ class _Rows:
         return self._demeaned[name]
 
 
-def _collinear(Z: np.ndarray, names: Sequence[str], problem: str) -> EstimationError:
-    """An error stating `problem` that names the columns loading on Z's
-    smallest singular direction."""
-    _, _, vh = np.linalg.svd(Z)
-    load = np.abs(vh[-1])
-    guilty = [n for n, w in zip(names, load) if w > 0.25 * load.max()]
-    return EstimationError(f"{problem}; collinear columns: {guilty}")
-
-
-def _check_rank(Z: np.ndarray, svals: np.ndarray, names: Sequence[str]) -> None:
-    """Raise naming the collinear columns if Z's singular values `svals`
-    (largest first) fall below RANK_RTOL relative to the largest."""
-    if svals[0] == 0 or svals[-1] / svals[0] < RANK_RTOL:
-        raise _collinear(Z, names, "design matrix is rank deficient")
-
-
 def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Bartlett-weighted HAC matrix of the per-period score sums h (T x k)."""
+    """Bartlett-weighted HAC matrix of a T x p table h of per-period sums."""
     S = h.T @ h
     for j in range(1, bandwidth + 1):
         w = 1.0 - j / (bandwidth + 1.0)
@@ -286,37 +276,22 @@ def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
     return S
 
 
-def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) -> np.ndarray:
+def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows, resid: np.ndarray) -> np.ndarray:
     """Per-period leverage adjustment M_t^(+1/2) r_t of the rows in `rows`' order.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
-    with U = X L and L L' = pinv(X'X), taken on unit-norm columns so that its
-    cutoff ignores units. Under fixed effects X is the demeaned design and
-    d = 1 - 1/T_i (each entity appears at most once per period); in a pooled
-    fit X is the full design and d = 1.
+    with U an orthonormal basis of the design's column space (the left
+    singular vectors of the fit's SVD). Under fixed effects the design is the
+    demeaned regressors and d = 1 - 1/T_i (each entity appears at most once
+    per period); in a pooled fit it is the full design and d = 1.
 
     The block is never formed. Grouping the period's rows by d, span{Q_j},
     with Q_j from a reduced QR of group j's rows of U, is invariant under M_t;
     on its orthogonal complement M_t acts as d_j >= 1/2 on group j. So one
     eigh of size at most (groups x k) gives the exact pseudo-inverse square
     root. Eigenvalues at most PINV_RTOL are zeroed, and the number zeroed is
-    logged, as is the number of directions the basis L cuts. The Gram matrix
-    squares X's condition number, so L cuts once X's singular-value ratio is
-    below about 3e-8, although the rank check admits ratios down to RANK_RTOL.
+    logged.
     """
-    gram = X.T @ X
-    scale = np.sqrt(np.diag(gram))  # nonzero: the rank check has passed
-    w, v = np.linalg.eigh(gram / np.outer(scale, scale))
-    keep = w > 1e-15 * w[-1]  # np.linalg.pinv's cutoff
-    n_cut = int(w.size - keep.sum())
-    if n_cut:  # the rank check passed, so each cut direction is a real one lost
-        log.warning(
-            "small-sample covariance: %d direction%s of the leverage basis cut "
-            "(unit-norm Gram eigenvalue at most 1e-15 of the largest)",
-            n_cut, "" if n_cut == 1 else "s",
-        )
-    U = X @ (v[:, keep] / np.sqrt(w[keep]) / scale[:, None])
-
     out = np.empty_like(resid)
     n_zeroed = 0
     for groups in rows.groups:
@@ -341,13 +316,21 @@ def _leverage_adjusted_residuals(X: np.ndarray, rows: _Rows, resid: np.ndarray) 
     return out
 
 
-def _score_table(rows: _Rows, Z: np.ndarray, X: np.ndarray, resid: np.ndarray,
-                 small_sample: bool) -> np.ndarray:
-    """The T x kz table h of score sums h_t = Z_t' s_t over the periods that keep
-    a row: s is resid, or with small_sample its leverage adjustment on X. Z, X
-    and resid are in `rows`' (period, d) order."""
-    s = _leverage_adjusted_residuals(X, rows, resid) if small_sample else resid
-    return np.array([Z[t].T @ s[t] for t in rows.periods])
+def _influence_table(rows: _Rows, U: np.ndarray, M: np.ndarray, resid: np.ndarray,
+                     small_sample: bool, means: np.ndarray | None) -> np.ndarray:
+    """The T x p table g of per-period influences g_t = (Z'Z)^-1 Z_t' s_t over
+    the periods that keep a row: s is resid, or with small_sample its leverage
+    adjustment on U. With the fit's thin SVD A / c = U S V', the slopes' rows
+    are M U_t' s_t, M = V S^-1 / c. `means` (fixed effects with an intercept)
+    are the regressors' grand means m; then Z = [1, A + m], and since A's
+    columns sum to zero the constant's row, put first, is
+    sum(s_t) / n - m' M U_t' s_t. U and resid are in `rows`' (period, d) order."""
+    s = _leverage_adjusted_residuals(U, rows, resid) if small_sample else resid
+    g = np.array([U[t].T @ s[t] for t in rows.periods]) @ M.T
+    if means is None:
+        return g
+    sums = np.array([s[t].sum() for t in rows.periods])
+    return np.column_stack([sums / rows.n - g @ means, g])
 
 
 def _t_pvalue(t: float, df: int) -> float:
@@ -419,20 +402,18 @@ def _t_pvalue(t: float, df: int) -> float:
 def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     n, k, n_per = rows.n, len(spec.regressors), rows.n_per
     column = rows.demeaned if spec.fixed_effects else rows.values
-    X, y = np.column_stack([column(r) for r in spec.regressors]), column(spec.dependent)
-    Z, y_reg = X, y
+    A, y = np.column_stack([column(r) for r in spec.regressors]), column(spec.dependent)
+    raw = [rows.values(r) for r in spec.regressors]
+    names = spec.regressors
     if spec.fixed_effects:
-        if spec.include_intercept:  # add the grand means back
-            Z = X + [rows.values(r).mean() for r in spec.regressors]
-            y_reg = y + rows.values(spec.dependent).mean()
         tss = float(y @ y)
         n_params = k + rows.n_ent
     else:
         tss = float(((y - y.mean()) ** 2).sum()) if spec.include_intercept else float(y @ y)
         n_params = k + int(spec.include_intercept)
-    names = spec.regressors
-    if spec.include_intercept:
-        names, Z = ("const", *names), np.column_stack([np.ones(n), Z])
+        if spec.include_intercept:
+            ones = np.ones(n)
+            names, A, raw = ("const", *names), np.column_stack([ones, A]), [ones, *raw]
 
     # A pooled fit may be exact (df = 0); a within fit needs a residual degree
     # of freedom beyond the absorbed entity means.
@@ -442,32 +423,40 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         raise EstimationError(
             f"too few observations: {n} rows for {n_params} parameters{absorbed}")
 
-    theta, _, _, svals = np.linalg.lstsq(Z, y_reg, rcond=None)
-    _check_rank(Z, svals, names)
-    resid = y_reg - Z @ theta
+    # One thin SVD of the design on columns of unit raw norm gives the rank
+    # check, the solve, the leverage basis and the covariance's bread.
+    c = np.array([math.sqrt(v @ v) for v in raw])
+    c[c == 0.0] = 1.0  # an all-zero column stays zero and fails the rank check
+    U, sv, Vt = np.linalg.svd(A / c, full_matrices=False)
+    if sv[-1] < RANK_RTOL:
+        load = np.abs(Vt[-1])
+        guilty = [name for name, w in zip(names, load) if w > 0.25 * load.max()]
+        raise EstimationError(f"design matrix is rank deficient; collinear columns: {guilty}")
+    M = Vt.T / sv / c[:, None]  # theta = M U'y, and (A'A)^-1 A' = M U'
+    uy = U.T @ y
+    theta = M @ uy
+    resid = y - U @ uy
     ssr = float(resid @ resid)
+    means = None
+    if spec.fixed_effects and spec.include_intercept:
+        # the constant of the fit on [1, A + m]: A's columns sum to zero
+        means = np.array([v.mean() for v in raw])
+        names = ("const", *names)
+        theta = np.r_[rows.values(spec.dependent).mean() - means @ theta, theta]
 
     bandwidth = spec.dk_bandwidth
     if bandwidth == "auto":
         bandwidth = newey_west_auto_bandwidth(n_per)
     bandwidth = min(int(bandwidth), n_per - 1)
 
-    kz = Z.shape[1]
     if df == 0:
         # exact fit: coefficients are well defined, inference is not
-        cov = np.full((kz, kz), np.nan)
+        cov = np.full((theta.size, theta.size), np.nan)
     else:
-        try:  # Z'Z squares Z's condition number, which the rank check bounds by 1e10
-            ztz_inv = np.linalg.inv(Z.T @ Z)
-        except np.linalg.LinAlgError:
-            raise _collinear(Z, names, "design matrix is too ill-conditioned to invert "
-                             "Z'Z for the covariance") from None
-        h = _score_table(rows, Z, X if spec.fixed_effects else Z, resid, spec.small_sample)
+        g = _influence_table(rows, U, M, resid, spec.small_sample, means)
         factor = ((n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
                   if spec.small_sample else 1.0)
-        S = _dk_middle(h, bandwidth) * factor
-        cov = ztz_inv @ S @ ztz_inv
-        cov = (cov + cov.T) / 2.0
+        cov = _dk_middle(g, bandwidth) * factor
 
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.clip(np.diag(cov), 0.0, None))

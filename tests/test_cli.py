@@ -256,9 +256,8 @@ class TestFit:
                      "--dep", "spread", "--regressors", "liq,liq2"]) == 3
         assert "collinear" in capsys.readouterr().err
 
-    def test_near_collinear_design_exits_0_or_3(self, tmp_path, capsys):
-        # x1 = x0 + 1e-9 * noise passes the rank check; where Z'Z cannot be
-        # inverted the fit is an estimation error, not a numpy traceback
+    def test_near_collinear_design_exits_0(self, tmp_path):
+        # x1 = x0 + 1e-9 * noise passes the rank check, so every fit succeeds
         codes = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -272,9 +271,7 @@ class TestFit:
             for pooled in ([], ["--no-fe"]):
                 codes.append(main(["fit", "--panel", str(p), "--model", "custom", "--dep", "y",
                                    "--regressors", "x0,x1", *pooled]))
-                if codes[-1] == 3:
-                    assert "collinear columns" in capsys.readouterr().err
-        assert set(codes) == {0, 3}
+        assert codes == [0] * 80
 
     def test_custom_needs_dep_and_regressors(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "custom"]) == 2

@@ -12,6 +12,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,14 +66,14 @@ def mixed_length_panel(rng, n_ent=12, n_per=5, n_reg=2):
 
 
 def near_collinear_panel(seed):
-    """8 x 6 panel in which x1 = x0 + 1e-9 * noise: the design passes the rank
-    check, but Z'Z squares its condition number past what inv can invert."""
+    """8 x 6 panel in which x1 = x0 + 1e-9 * z: the design's singular-value
+    ratio is about 1e-9, inside the rank bound, and Z'Z's about 1e-18."""
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(8, 6))
-    x1 = rng.normal(size=(8, 6))
+    z = rng.normal(size=(8, 6))
     y = rng.normal(size=(8, 6)) + x0
     return make_panel([f"B{i}" for i in range(8)], range(2010, 2016),
-                      y=y, x0=x0, x1=x0 + 1e-9 * x1)
+                      y=y, x0=x0, x1=x0 + 1e-9 * z)
 
 
 def lsdv_oracle(ds, dep, regs):
@@ -164,6 +165,21 @@ def cr2_dk_oracle(ds, spec):
         factor *= n_per / (n_per - 1.0)
     iid = (resid @ resid) / (n - n_params) * np.linalg.inv(Z.T @ Z)
     return factor * dk_sandwich_oracle(Z, adjusted, list(pj), bandwidth), smallest_kept, iid
+
+
+def reparametrized_cr2_oracle(ds, spec, eps):
+    """cr2_dk_oracle's covariance of a fit on (..., x0, x1), x1 = x0 + eps * z,
+    from the well-conditioned fit on (..., x0, z) mapped back: the slopes
+    (b0, bz) there are (b0 - bz / eps, bz / eps) here. z is taken from the
+    stored columns, where x1 - x0 is exact, so the two fits are of one design."""
+    names = (("const",) if spec.include_intercept else ()) + spec.regressors
+    i0, i1 = names.index("x0"), names.index("x1")
+    ds = ds.with_column("z", (ds.column("x1") - ds.column("x0")) / eps)
+    regs = tuple("z" if r == "x1" else r for r in spec.regressors)
+    cov, _, _ = cr2_dk_oracle(ds, replace(spec, regressors=regs))
+    T_inv = np.eye(len(names))
+    T_inv[i0, i1], T_inv[i1, i1] = -1.0 / eps, 1.0 / eps
+    return T_inv @ cov @ T_inv.T
 
 
 class TestPointEstimates:
@@ -331,7 +347,7 @@ class TestCovariance:
     def test_scale_equivariance_of_t_stats(self):
         rng = np.random.default_rng(24)
         ds = random_panel(rng, n_ent=5, n_per=8, n_reg=2)
-        for factor, small_sample in itertools.product((250.0, 1e8), (True, False)):
+        for factor, small_sample in itertools.product((250.0, 1e8, 1e12), (True, False)):
             scaled = ds.with_column("x0", ds.column("x0") * factor)
             a = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1"),
                                                  small_sample=small_sample))
@@ -481,16 +497,22 @@ class TestSmallSampleCovariance:
             [message] = estimation_warnings(caplog)
             assert "1 leverage eigenvalue " in message
 
-    def test_leverage_basis_cut_warns(self, caplog):
-        # x1 = x0 + 3e-8 * noise passes the rank check, but the unit-norm
-        # Gram matrix has an eigenvalue ratio of about 2.4e-16, below the
-        # 1e-15 cutoff, so the basis drops a direction of the design
+    @pytest.mark.parametrize("eps", [3e-8, 1e-8, 1e-9])
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    def test_near_collinear_design_matches_oracle(self, fixed_effects, eps, caplog):
+        # x1 = x0 + eps * z passes the rank check; a leverage basis from the
+        # Gram matrix, whose condition number is the design's squared, would
+        # cut a direction of it at these eps
         ds = random_panel(np.random.default_rng(3), 8, 6, 2)
-        ds = ds.with_column("x1", ds.column("x0") + 3e-8 * ds.column("x1"))
-        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=False, dk_bandwidth=0)
+        ds = ds.with_column("x1", ds.column("x0") + eps * ds.column("x1"))
+        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects, dk_bandwidth=0)
         with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
-            fit_within_dk(ds, spec)
-        assert "1 direction of the leverage basis cut" in "\n".join(estimation_warnings(caplog))
+            fit = fit_within_dk(ds, spec)
+        oracle = reparametrized_cr2_oracle(ds, spec, eps)
+        np.testing.assert_allclose(
+            fit.covariance, oracle, atol=1e-6 * np.abs(oracle).max(), rtol=0
+        )
+        assert estimation_warnings(caplog) == []
 
     def test_wide_fit_never_builds_period_blocks(self):
         # one dense 3000 x 3000 block alone is 69 MiB; the low-rank form
@@ -602,28 +624,42 @@ class TestPooledOls:
 
 
 class TestErrors:
-    def test_rank_deficiency_names_columns(self):
+    @pytest.mark.parametrize("f", [1.0, 1e6, 1e12])
+    def test_rank_deficiency_names_columns(self, f):
         rng = np.random.default_rng(41)
         x = rng.normal(0, 1, (4, 6))
+        y = rng.normal(0, 1, (4, 6))
         ds = make_panel([f"E{i}" for i in range(4)], list(range(6)),
-                        x=x, x_copy=x.copy(), y=rng.normal(0, 1, (4, 6)))
-        with pytest.raises(EstimationError, match="x.*x_copy|x_copy.*x"):
-            fit_within_dk(ds, RegressionSpec("y", ("x", "x_copy")))
+                        x=x, x_copy=f * x, w=rng.normal(0, 1, (4, 6)), y=y)
+        with pytest.raises(EstimationError, match=r"collinear columns: \['x', 'x_copy'\]$"):
+            fit_within_dk(ds, RegressionSpec("y", ("x", "x_copy", "w")))
 
-    def test_near_collinear_design_raises_estimation_error(self):
-        # cond(Z) up to 1e10 passes the rank check; inverting Z'Z, at up to
-        # 1e20, may then hit an exact zero pivot, which must not escape as a
-        # numpy LinAlgError
-        refused = 0
+    def test_rank_deficient_fit_refused_in_linear_memory(self):
+        # an n x n factor of this 3000-row design alone would be 69 MiB
+        rng = np.random.default_rng(44)
+        x = rng.normal(0, 1, (1000, 3))
+        ds = make_panel([f"E{i}" for i in range(1000)], list(range(3)),
+                        x=x, x2=2.0 * x, y=rng.normal(0, 1, (1000, 3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EstimationError, match=r"collinear columns: \['x', 'x2'\]$"):
+                fit_within_dk(ds, RegressionSpec("y", ("x", "x2"), fixed_effects=False))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_near_collinear_design_matches_oracle(self):
+        # cond(Z) about 1e9 passes the rank check; the fit on (x0, x1) is the
+        # well-conditioned fit on (x0, z) in other coordinates
         for seed in range(40):
+            ds = near_collinear_panel(seed)
             for fixed_effects in (True, False):
                 spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects)
-                try:
-                    fit_within_dk(near_collinear_panel(seed), spec)
-                except EstimationError as exc:
-                    assert "collinear columns: " in str(exc) and "'x1'" in str(exc)
-                    refused += 1
-        assert refused > 0
+                fit = fit_within_dk(ds, spec)
+                oracle = np.sqrt(np.diag(reparametrized_cr2_oracle(ds, spec, 1e-9)))
+                np.testing.assert_allclose(fit.std_errors, oracle,
+                                           atol=1e-5 * oracle.max(), rtol=0)
 
     def test_time_invariant_regressor_under_fe_is_collinear(self):
         rng = np.random.default_rng(42)
