@@ -9,7 +9,9 @@ mean(y) - m'b for the regressors' grand means m and within slopes b.
 Each fit factors its design once: a thin SVD of the regressors (demeaned
 under fixed effects, [1, X] pooled) with each column divided by the norm of
 its raw values. The same factors give the rank check, the solve, the
-leverage basis and the covariance's bread; Z'Z is never formed.
+leverage basis and the covariance's bread; Z'Z is never formed. Every column
+is first divided by a power of two, which is exact, so nothing overflows on
+the way; an estimate or variance a double cannot hold is refused.
 
 The covariance follows Driscoll and Kraay (1998): collapse the moment
 conditions cross-sectionally into one score vector per period,
@@ -114,7 +116,7 @@ class FitResult:
     std_errors: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray  # on the dataset's entities x periods, NaN where no row
     r_squared_within: float
     n_obs: int
     n_entities: int
@@ -123,8 +125,6 @@ class FitResult:
     bandwidth_used: int
     small_sample: bool
     dropped_entities: tuple[str, ...] = field(default=())
-    row_entities: tuple[str, ...] = field(default=(), repr=False)
-    row_periods: tuple[int, ...] = field(default=(), repr=False)
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.param_names.index(name)])
@@ -219,9 +219,8 @@ class _Rows:
     The rows are stored in one stable sort by (period, d), with d = 1 - 1/T_i
     under fixed effects and 1 pooled: entity codes, d, and each column's
     memoised values and entity-demeaned values are in that order, cut into
-    per-period slices of equal-d groups. The labels row_entities and
-    row_periods stay in entity-major order, and stored row s is entity-major
-    row order[s]. Built afresh by every fitting call.
+    per-period slices of equal-d groups. Stored row s is the dataset's cell
+    (_ei[s], _pj[s]). Built afresh by every fitting call.
     """
 
     def __init__(self, ds: PanelDataset, keep: np.ndarray, dropped: tuple[str, ...],
@@ -230,8 +229,6 @@ class _Rows:
         if ei.size == 0:
             raise EstimationError("no usable observations after listwise deletion")
         self.n, self.dropped = ei.size, dropped
-        self.row_entities = tuple(np.array(ds.entities, dtype=object)[ei].tolist())
-        self.row_periods = tuple(np.array(ds.periods, dtype=object)[pj].tolist())
         # compact codes over the entities and periods that keep any row
         ent_used, per_used = keep.any(axis=1), keep.any(axis=0)
         ent_code = (np.cumsum(ent_used) - 1)[ei]
@@ -240,8 +237,8 @@ class _Rows:
         self.counts = np.bincount(ent_code).astype(float)  # T_i per entity
         d = 1.0 - 1.0 / self.counts[ent_code] if fixed_effects else np.ones(self.n)
 
-        self.order = np.lexsort((d, per_code))
-        p, self.d, self.ent_code = per_code[self.order], d[self.order], ent_code[self.order]
+        order = np.lexsort((d, per_code))
+        p, self.d, self.ent_code = per_code[order], d[order], ent_code[order]
         starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (self.d[1:] != self.d[:-1])])
         spans = zip(starts.tolist(), np.r_[starts[1:], p.size].tolist())
         # per period, the slices of the rows that share one d
@@ -249,14 +246,19 @@ class _Rows:
                        for _, period_spans in groupby(spans, key=lambda span: p[span[0]])]
         self.periods = [slice(g[0].start, g[-1].stop) for g in self.groups]
 
-        self._ds, self._ei, self._pj = ds, ei[self.order], pj[self.order]
+        self._ds, self._ei, self._pj = ds, ei[order], pj[order]
         self._values: dict[str, np.ndarray] = {}
         self._demeaned: dict[str, np.ndarray] = {}
+        self.scale: dict[str, int] = {}
 
     def values(self, name: str) -> np.ndarray:
-        """Column `name` at the rows."""
+        """Column `name` at the rows over 2**scale[name], the power of two that
+        puts its largest magnitude in [1/2, 1). Exact in the normal range, and
+        no sum or product of the fit can overflow."""
         if name not in self._values:
-            self._values[name] = self._ds.column(name)[self._ei, self._pj]
+            v = self._ds.column(name)[self._ei, self._pj]
+            self.scale[name] = math.frexp(float(np.abs(v).max()))[1]
+            self._values[name] = np.ldexp(v, -self.scale[name])
         return self._values[name]
 
     def demeaned(self, name: str) -> np.ndarray:
@@ -405,6 +407,10 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     A, y = np.column_stack([column(r) for r in spec.regressors]), column(spec.dependent)
     raw = [rows.values(r) for r in spec.regressors]
     names = spec.regressors
+    # The columns are stored over powers of two (_Rows.values), so each
+    # parameter is found as 2**-shift times its value in the data's units.
+    ey = rows.scale[spec.dependent]
+    shift = [ey - rows.scale[r] for r in spec.regressors]
     if spec.fixed_effects:
         tss = float(y @ y)
         n_params = k + rows.n_ent
@@ -414,6 +420,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         if spec.include_intercept:
             ones = np.ones(n)
             names, A, raw = ("const", *names), np.column_stack([ones, A]), [ones, *raw]
+            shift = [ey, *shift]
 
     # A pooled fit may be exact (df = 0); a within fit needs a residual degree
     # of freedom beyond the absorbed entity means.
@@ -441,7 +448,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     if spec.fixed_effects and spec.include_intercept:
         # the constant of the fit on [1, A + m]: A's columns sum to zero
         means = np.array([v.mean() for v in raw])
-        names = ("const", *names)
+        names, shift = ("const", *names), [ey, *shift]
         theta = np.r_[rows.values(spec.dependent).mean() - means @ theta, theta]
 
     bandwidth = spec.dk_bandwidth
@@ -458,14 +465,29 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
                   if spec.small_sample else 1.0)
         cov = _dk_middle(g, bandwidth) * factor
 
+    # Back to the data's units. An estimate that overflows, or a nonzero
+    # variance that a double cannot hold as a normal number, is refused;
+    # nothing before this can overflow.
+    shift = np.array(shift)
+    scaled_var = np.diag(cov)
+    with np.errstate(over="ignore"):
+        theta, cov = np.ldexp(theta, shift), np.ldexp(cov, shift[:, None] + shift)
+    var = np.diag(cov)
+    normal = (var >= np.finfo(float).tiny) & (var < np.inf)
+    lost = ~np.isfinite(theta) | (scaled_var > 0) & ~normal
+    if lost.any():
+        raise EstimationError(
+            f"estimate or variance of {[name for name, b in zip(names, lost) if b]} is "
+            "outside the range of a double; rescale the column")
+
     with np.errstate(invalid="ignore"):
-        se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        se = np.sqrt(np.clip(var, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
     pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])  # nan t at df = 0
     r2 = 1.0 - ssr / tss if tss > 0 else math.nan
-    residuals = np.empty_like(resid)
-    residuals[rows.order] = resid  # back to the labels' entity-major order
+    residuals = np.full((rows._ds.n_entities, rows._ds.n_periods), np.nan)
+    residuals[rows._ei, rows._pj] = np.ldexp(resid, ey)
 
     return FitResult(
         param_names=names,
@@ -483,8 +505,6 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         bandwidth_used=bandwidth,
         small_sample=spec.small_sample,
         dropped_entities=rows.dropped,
-        row_entities=rows.row_entities,
-        row_periods=rows.row_periods,
     )
 
 
@@ -495,8 +515,8 @@ def fit_within_dk_many(ds: PanelDataset, specs: Sequence[RegressionSpec]) -> lis
     """fit_within_dk for each spec in turn, assembling shared rows once.
 
     Specs that keep the same rows (same listwise mask, dropped entities and
-    fixed-effects setting) share one assembly: row codes and labels, the
-    period sort, and each column's values and entity-demeaned values. Each
+    fixed-effects setting) share one assembly: row codes, the period sort,
+    and each column's values and entity-demeaned values. Each
     result equals that of a separate fit_within_dk call.
     """
     assembled: dict = {}

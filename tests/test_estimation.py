@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtr
 
@@ -228,25 +228,18 @@ class TestPointEstimates:
         rng = np.random.default_rng(15)
         ds = random_panel(rng, n_ent=5, n_per=7, n_reg=2)
         fit = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1")))
-        # reconstruct demeaned regressors on the kept rows
-        ents = np.array(fit.row_entities)
+        assert fit.residuals.shape == (5, 7)
+        assert np.isfinite(fit.residuals).all()  # balanced: every cell is a row
         for name in ("x0", "x1"):
             col = ds.column(name)
-            idx = {e: i for i, e in enumerate(ds.entities)}
-            rows = np.array([
-                col[idx[e], list(ds.periods).index(p)]
-                for e, p in zip(fit.row_entities, fit.row_periods)
-            ])
-            demeaned = rows - np.array(
-                [rows[ents == e].mean() for e in ents]
-            )
-            assert abs(float(demeaned @ fit.residuals)) < 1e-8
+            demeaned = col - col.mean(axis=1, keepdims=True)
+            assert abs(float((demeaned * fit.residuals).sum())) < 1e-8
 
     @pytest.mark.parametrize("fixed_effects", [True, False])
     @pytest.mark.parametrize("seed", range(5))
-    def test_residuals_match_dummy_variable_oracle_at_their_labels(self, seed, fixed_effects):
+    def test_residuals_match_dummy_variable_oracle_on_the_grid(self, seed, fixed_effects):
         # unbalanced: several d-groups per period, so rows left in the fit's
-        # internal order would pair residuals with the wrong labels
+        # internal order would put residuals in the wrong cells
         ds = mixed_length_panel(np.random.default_rng(seed))
         fit = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects))
         y = ds.column("y")
@@ -255,23 +248,27 @@ class TestPointEstimates:
             np.ones((ei.size, 1))
         design = np.column_stack([effects, ds.column("x0")[ei, pj], ds.column("x1")[ei, pj]])
         theta, *_ = np.linalg.lstsq(design, y[ei, pj], rcond=None)
-        labels = zip(np.array(ds.entities)[ei].tolist(), np.array(ds.periods)[pj].tolist())
-        oracle = dict(zip(labels, y[ei, pj] - design @ theta))
-        cells = list(zip(fit.row_entities, fit.row_periods))
-        assert sorted(cells) == sorted(oracle)
-        expected = np.array([oracle[cell] for cell in cells])
+        expected = np.full(y.shape, np.nan)
+        expected[ei, pj] = y[ei, pj] - design @ theta
+        np.testing.assert_array_equal(np.isnan(fit.residuals), np.isnan(expected))
         np.testing.assert_allclose(fit.residuals, expected,
-                                   atol=1e-10 * np.abs(expected).max(), rtol=0)
+                                   atol=1e-10 * np.nanmax(np.abs(expected)), rtol=0)
 
-    def test_row_labels_name_the_kept_cells(self):
-        ds = make_panel(["A", "B"], [2010, 2011, 2012],
-                        y=[[1.0, NAN, 2.0], [0.5, 1.5, 3.0]],
-                        x0=[[0.1, 0.2, 0.7], [0.4, 0.3, 0.9]])
-        fit = fit_within_dk(ds, RegressionSpec("y", ("x0",)))
-        assert fit.row_entities == ("A", "A", "B", "B", "B")
-        assert fit.row_periods == (2010, 2012, 2010, 2011, 2012)
-        assert {type(e) for e in fit.row_entities} == {str}
-        assert {type(p) for p in fit.row_periods} == {int}
+    @pytest.mark.parametrize("fixed_effects, kept, dropped", [
+        # C keeps one usable cell, which a within fit drops with the entity
+        (True, [[1, 0, 1], [1, 1, 0], [0, 0, 0]], ("C",)),
+        (False, [[1, 0, 1], [1, 1, 0], [1, 0, 0]], ()),
+    ])
+    def test_residual_grid_is_nan_exactly_where_the_fit_has_no_row(
+            self, fixed_effects, kept, dropped):
+        ds = make_panel(["A", "B", "C"], [2010, 2011, 2012],
+                        y=[[1.0, NAN, 2.0], [0.5, 1.5, 3.0], [0.2, NAN, NAN]],
+                        x0=[[0.1, 0.2, 0.7], [0.4, 0.3, NAN], [0.6, 0.8, 0.1]])
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x0",), fixed_effects=fixed_effects))
+        assert fit.dropped_entities == dropped
+        assert fit.residuals.shape == (3, 3)
+        np.testing.assert_array_equal(np.isfinite(fit.residuals), np.array(kept, dtype=bool))
+        assert np.isnan(fit.residuals[~np.array(kept, dtype=bool)]).all()
 
 
 class TestCovariance:
@@ -358,6 +355,44 @@ class TestCovariance:
             i = a.param_names.index("x0")
             assert b.t_stats[i] == pytest.approx(a.t_stats[i], rel=1e-10)
             assert b.p_values[i] == pytest.approx(a.p_values[i], rel=1e-10)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(-1100, 1100), fixed_effects=st.booleans())
+    # where this panel moves from refused (all-zero x0, infinite variance) to
+    # exact to refused (underflowing variance) to a dataset that holds an inf
+    @example(k=-1077, fixed_effects=True)
+    @example(k=-515, fixed_effects=False)
+    @example(k=-514, fixed_effects=True)
+    @example(k=508, fixed_effects=False)
+    @example(k=509, fixed_effects=True)
+    @example(k=1022, fixed_effects=False)
+    @example(k=1023, fixed_effects=True)
+    def test_power_of_two_scaling_is_exact_or_refused(self, k, fixed_effects):
+        # x0 times 2**k: its estimate and SE scale by exactly 2**-k and every
+        # other bit stays, while x0's variance is a normal double; past that
+        # the fit is refused, naming x0 (as rank deficient once x0 is all 0)
+        ds = random_panel(np.random.default_rng(5), 6, 5, 2)
+        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects)
+        base = fit_within_dk(ds, spec)
+        i = base.param_names.index("x0")
+        with np.errstate(over="ignore"):
+            x0 = np.ldexp(ds.column("x0"), k)
+        if not np.isfinite(x0).all():
+            with pytest.raises(DataError, match="'x0'"):
+                ds.with_column("x0", x0)
+            return
+        exponent = math.frexp(base.covariance[i, i])[1] - 2 * k
+        if not -1021 <= exponent <= 1024:
+            with pytest.raises(EstimationError, match=r"\['x0'\]"):
+                fit_within_dk(ds.with_column("x0", x0), spec)
+            return
+        fit = fit_within_dk(ds.with_column("x0", x0), spec)
+        for got, want in ((fit.coefficients, base.coefficients),
+                          (fit.std_errors, base.std_errors)):
+            assert got[i] == math.ldexp(want[i], -k)
+            assert np.array_equal(np.delete(got, i), np.delete(want, i))
+        assert np.array_equal(fit.t_stats, base.t_stats)
+        assert np.array_equal(fit.p_values, base.p_values)
 
     def test_se_is_sqrt_of_diagonal(self):
         rng = np.random.default_rng(25)
@@ -660,6 +695,17 @@ class TestErrors:
                 oracle = np.sqrt(np.diag(reparametrized_cr2_oracle(ds, spec, 1e-9)))
                 np.testing.assert_allclose(fit.std_errors, oracle,
                                            atol=1e-5 * oracle.max(), rtol=0)
+
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    @pytest.mark.parametrize("factor", [1e160, 1e-160])
+    def test_variance_outside_the_double_range_names_the_column(self, factor, fixed_effects):
+        # x0's variance would be a few times 1e-322 (subnormal) or 1e318 (inf)
+        ds = random_panel(np.random.default_rng(5), 6, 5, 2)
+        ds = ds.with_column("x0", ds.column("x0") * factor)
+        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects)
+        with pytest.raises(EstimationError, match=r"^estimate or variance of \['x0'\] is "
+                           r"outside the range of a double; rescale the column$"):
+            fit_within_dk(ds, spec)
 
     def test_time_invariant_regressor_under_fe_is_collinear(self):
         rng = np.random.default_rng(42)
