@@ -36,10 +36,16 @@ The leverage adjustment (CR2; Bell and McCaffrey 2002, Pustejovsky and Tipton
 2018) replaces each period's residuals r_t by M_t^(+1/2) r_t, where M_t is
 the period-t diagonal block of the residual maker I - H. The N_t x N_t block
 is never built: it is a diagonal matrix minus a rank-k term, so its
-pseudo-inverse square root is exact from a reduced QR per group of entities
-with equal T_i and one eigendecomposition of size at most (groups x k). The
-cost is O(n k^2) time and O(n k) memory. Eigenvalues at most PINV_RTOL
-are zeroed, and a fit that zeroes any logs one warning with the count.
+pseudo-inverse square root is exact from small factors. A period whose rows
+share one diagonal value (every period of a pooled fit, or of a
+fixed-effects fit on a balanced panel) and outnumber the k columns needs only
+the eigendecomposition of its k x k Gram matrix. Any other period takes a
+reduced QR per group of entities with equal T_i and one eigendecomposition of
+size at most (groups x k): the only exact route when T_i differ, and the one
+that gives an exactly zero adjusted residual for a block that is zero, which
+can only happen at N_t <= k. The cost is O(n k^2) time and O(n k) memory.
+Eigenvalues at most PINV_RTOL are zeroed, and a fit that zeroes any and is
+not refused logs one warning with the count.
 
 Specs fitted together by fit_within_dk_many (as model.fit_system does)
 that keep the same rows share one assembly of those rows.
@@ -278,25 +284,57 @@ def _dk_middle(h: np.ndarray, bandwidth: int) -> np.ndarray:
     return S
 
 
-def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows, resid: np.ndarray) -> np.ndarray:
-    """Per-period leverage adjustment M_t^(+1/2) r_t of the rows in `rows`' order.
+def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows,
+                                 resid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-period leverage adjustment M_t^(+1/2) r_t of the rows in `rows`' order,
+    and the number of block eigenvalues zeroed on the way.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
     with U an orthonormal basis of the design's column space (the left
     singular vectors of the fit's SVD). Under fixed effects the design is the
     demeaned regressors and d = 1 - 1/T_i (each entity appears at most once
-    per period); in a pooled fit it is the full design and d = 1.
+    per period); in a pooled fit it is the full design and d = 1. The block is
+    never formed, and eigenvalues at most PINV_RTOL are zeroed.
 
-    The block is never formed. Grouping the period's rows by d, span{Q_j},
-    with Q_j from a reduced QR of group j's rows of U, is invariant under M_t;
-    on its orthogonal complement M_t acts as d_j >= 1/2 on group j. So one
-    eigh of size at most (groups x k) gives the exact pseudo-inverse square
-    root. Eigenvalues at most PINV_RTOL are zeroed, and the number zeroed is
-    logged.
+    A period of N_t > k rows that share one d (as in pooled fits, and in
+    fixed-effects fits on a balanced panel) needs only the k x k Gram matrix
+    C_t = U_t'U_t = V diag(mu) V'. M_t acts as lam = d - mu on the columns of
+    U_t V and as d on their orthogonal complement, so M_t^(+1/2) r_t =
+    r_t / sqrt(d) + U_t V diag(phi) V'U_t' r_t with phi = (lam^-1/2 - d^-1/2) / mu,
+    taken in the closed form 1 / (sqrt(lam) sqrt(d) (sqrt(d) + sqrt(lam))) that
+    nothing cancels in, and phi = -1 / (sqrt(d) mu) for a zeroed lam, where
+    mu >= d - PINV_RTOL >= 1/2. A direction of tiny mu enters through a bounded
+    phi, so no rank cut is needed, and a rank-deficient U_t only adds kept
+    eigenvalues lam = d: the zeroed count is the QR route's.
+
+    Every other period takes an orthonormal basis per group of equal d:
+    span{Q_j}, with Q_j from a reduced QR of group j's rows of U, is invariant
+    under M_t, and on its orthogonal complement M_t acts as d_j >= 1/2 on
+    group j, so one eigh of size at most (groups x k) gives the exact
+    pseudo-inverse square root. This is the only exact route for a period with
+    several d, and at N_t <= k, where a block can be exactly zero (one row of
+    leverage 1), Q_j is square and the adjusted residual comes out exactly zero
+    rather than rounding noise.
     """
     out = np.empty_like(resid)
     n_zeroed = 0
-    for groups in rows.groups:
+    k = U.shape[1]
+    for t, groups in zip(rows.periods, rows.groups):
+        if len(groups) == 1 and t.stop - t.start > k:  # from the Gram matrix
+            Ut, d = U[t], float(rows.d[t.start])
+            sd = math.sqrt(d)
+            mu, V = np.linalg.eigh(Ut.T @ Ut)
+            lam = d - mu
+            kept = lam > PINV_RTOL
+            n_zeroed += k - int(kept.sum())
+            root = np.sqrt(lam[kept])
+            phi = np.empty(k)
+            phi[kept] = 1.0 / (root * sd * (sd + root))
+            phi[~kept] = -1.0 / (sd * mu[~kept])
+            out[t] = resid[t] / sd + Ut @ (V @ (phi * (V.T @ (Ut.T @ resid[t]))))
+            continue
+
+        # from an orthonormal basis per group of equal d
         dj = rows.d[[g.start for g in groups]]
         qs = [np.linalg.qr(U[g])[0] for g in groups]
         sizes = [q.shape[1] for q in qs]
@@ -309,25 +347,18 @@ def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows, resid: np.ndarray) 
         coords = np.split(W @ (f_lam * (W.T @ np.concatenate(qtr))), np.cumsum(sizes)[:-1])
         for q, g, c, a, f in zip(qs, groups, qtr, coords, 1.0 / np.sqrt(dj)):
             out[g] = q @ a + f * (resid[g] - q @ c)
-    if n_zeroed:
-        log.warning(
-            "small-sample covariance: %d leverage eigenvalue%s at or below %g "
-            "zeroed (pseudo-inverse)",
-            n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
-        )
-    return out
+    return out, n_zeroed
 
 
-def _influence_table(rows: _Rows, U: np.ndarray, M: np.ndarray, resid: np.ndarray,
-                     small_sample: bool, means: np.ndarray | None) -> np.ndarray:
+def _influence_table(rows: _Rows, U: np.ndarray, M: np.ndarray, s: np.ndarray,
+                     means: np.ndarray | None) -> np.ndarray:
     """The T x p table g of per-period influences g_t = (Z'Z)^-1 Z_t' s_t over
-    the periods that keep a row: s is resid, or with small_sample its leverage
-    adjustment on U. With the fit's thin SVD A / c = U S V', the slopes' rows
+    the periods that keep a row, for s the residuals or their leverage
+    adjustment. With the fit's thin SVD A / c = U S V', the slopes' rows
     are M U_t' s_t, M = V S^-1 / c. `means` (fixed effects with an intercept)
     are the regressors' grand means m; then Z = [1, A + m], and since A's
     columns sum to zero the constant's row, put first, is
-    sum(s_t) / n - m' M U_t' s_t. U and resid are in `rows`' (period, d) order."""
-    s = _leverage_adjusted_residuals(U, rows, resid) if small_sample else resid
+    sum(s_t) / n - m' M U_t' s_t. U and s are in `rows`' (period, d) order."""
     g = np.array([U[t].T @ s[t] for t in rows.periods]) @ M.T
     if means is None:
         return g
@@ -456,11 +487,15 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         bandwidth = newey_west_auto_bandwidth(n_per)
     bandwidth = min(int(bandwidth), n_per - 1)
 
+    n_zeroed = 0
     if df == 0:
         # exact fit: coefficients are well defined, inference is not
         cov = np.full((theta.size, theta.size), np.nan)
     else:
-        g = _influence_table(rows, U, M, resid, spec.small_sample, means)
+        s = resid
+        if spec.small_sample:
+            s, n_zeroed = _leverage_adjusted_residuals(U, rows, resid)
+        g = _influence_table(rows, U, M, s, means)
         factor = ((n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
                   if spec.small_sample else 1.0)
         cov = _dk_middle(g, bandwidth) * factor
@@ -479,6 +514,12 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         raise EstimationError(
             f"estimate or variance of {[name for name, b in zip(names, lost) if b]} is "
             "outside the range of a double; rescale the column")
+    if n_zeroed:  # only for a covariance that is reported
+        log.warning(
+            "small-sample covariance: %d leverage eigenvalue%s at or below %g "
+            "zeroed (pseudo-inverse)",
+            n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
+        )
 
     with np.errstate(invalid="ignore"):
         se = np.sqrt(np.clip(var, 0.0, None))

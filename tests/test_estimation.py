@@ -65,6 +65,13 @@ def mixed_length_panel(rng, n_ent=12, n_per=5, n_reg=2):
     return ds.with_column("y", y)
 
 
+def with_first_period_dummy(ds):
+    """`ds` with column d0, 1 in the first period and 0 elsewhere."""
+    first = np.zeros((ds.n_entities, ds.n_periods))
+    first[:, 0] = 1.0
+    return ds.with_column("d0", first)
+
+
 def near_collinear_panel(seed):
     """8 x 6 panel in which x1 = x0 + 1e-9 * z: the design's singular-value
     ratio is about 1e-9, inside the rank bound, and Z'Z's about 1e-18."""
@@ -452,36 +459,61 @@ class TestSmallSampleCovariance:
     @pytest.mark.parametrize("include_intercept", [True, False])
     @pytest.mark.parametrize("fixed_effects", [True, False])
     def test_matches_dense_oracle(self, fixed_effects, include_intercept, bandwidth, caplog):
+        # the balanced panel's periods each have one d, the mixed panel's several
         rng = np.random.default_rng(51)
-        ds = mixed_length_panel(rng)
         spec = RegressionSpec("y", ("x0", "x1"), include_intercept=include_intercept,
                               fixed_effects=fixed_effects, dk_bandwidth=bandwidth)
-        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
-            fit = fit_within_dk(ds, spec)
-        oracle, _, _ = cr2_dk_oracle(ds, spec)
-        np.testing.assert_allclose(
-            fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
-        )
-        assert estimation_warnings(caplog) == []
+        for ds in (mixed_length_panel(rng), random_panel(rng, 12, 5, 2)):
+            with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+                fit = fit_within_dk(ds, spec)
+            oracle, _, _ = cr2_dk_oracle(ds, spec)
+            np.testing.assert_allclose(
+                fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
+            )
+            assert estimation_warnings(caplog) == []
 
     @pytest.mark.parametrize("fixed_effects", [True, False])
     def test_period_dummy_truncation_matches_oracle_and_warns(self, fixed_effects, caplog):
         # a first-period dummy lies in the design's column space, so the
-        # period-0 block has one zero eigenvalue that the 1e-8 rule drops
+        # period-0 block has one zero eigenvalue that the 1e-8 rule drops, on
+        # the mixed panel's per-group bases and the balanced panel's Gram matrix
         rng = np.random.default_rng(52)
-        ds = mixed_length_panel(rng)
-        first = np.zeros((ds.n_entities, ds.n_periods))
-        first[:, 0] = 1.0
-        ds = ds.with_column("d0", first)
         spec = RegressionSpec("y", ("x0", "d0"), fixed_effects=fixed_effects)
-        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
-            fit = fit_within_dk(ds, spec)
-        oracle, _, _ = cr2_dk_oracle(ds, spec)
-        np.testing.assert_allclose(
-            fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
-        )
-        [message] = estimation_warnings(caplog)
-        assert "1 leverage eigenvalue " in message
+        for ds in (mixed_length_panel(rng), random_panel(rng, 12, 5, 2)):
+            ds = with_first_period_dummy(ds)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+                fit = fit_within_dk(ds, spec)
+            oracle, _, _ = cr2_dk_oracle(ds, spec)
+            np.testing.assert_allclose(
+                fit.covariance, oracle, atol=1e-10 * np.abs(oracle).max(), rtol=0
+            )
+            [message] = estimation_warnings(caplog)
+            assert "1 leverage eigenvalue " in message
+
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    def test_adjustment_is_each_blocks_pseudo_inverse_square_root(self, fixed_effects):
+        # A residual has no component in a block's null space, so the
+        # covariance cannot show how that space is treated; a random vector
+        # does. With the first-period dummy the period-0 block has one zero
+        # eigenvalue; the mixed panel's fixed-effects periods have several d.
+        rng = np.random.default_rng(54)
+        spec = RegressionSpec("y", ("x0", "d0"), fixed_effects=fixed_effects)
+        for ds in (mixed_length_panel(rng), random_panel(rng, 12, 5, 2)):
+            ds = with_first_period_dummy(ds)
+            rows = estimation._Rows(ds, *estimation._usable_rows(ds, spec), fixed_effects)
+            column = rows.demeaned if fixed_effects else rows.values
+            design = [column("x0"), column("d0")]
+            if not fixed_effects:
+                design.append(np.ones(rows.n))
+            U = np.linalg.svd(np.column_stack(design), full_matrices=False)[0]
+            r = rng.normal(size=rows.n)
+            out, n_zeroed = estimation._leverage_adjusted_residuals(U, rows, r)
+            assert n_zeroed == 1
+            for t in rows.periods:
+                lam, W = np.linalg.eigh(np.diag(rows.d[t]) - U[t] @ U[t].T)
+                f = np.where(lam > 1e-8, 1.0 / np.sqrt(np.clip(lam, 1e-8, None)), 0.0)
+                np.testing.assert_allclose(out[t], W @ (f * (W.T @ r[t])), atol=1e-10, rtol=0)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(small_panels())
@@ -531,6 +563,17 @@ class TestSmallSampleCovariance:
             assert np.all(seen[-1][0] == 0.0), seed
             [message] = estimation_warnings(caplog)
             assert "1 leverage eigenvalue " in message
+
+    @pytest.mark.parametrize("fixed_effects", [True, False])
+    def test_one_d_periods_take_no_qr(self, fixed_effects, monkeypatch):
+        # every period of a balanced panel has one d and 8 rows > k = 3 columns
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(estimation.np.linalg, "qr", no_qr)
+        ds = random_panel(np.random.default_rng(53), 8, 4, 2)
+        fit = fit_within_dk(ds, RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects))
+        assert np.all(np.isfinite(fit.std_errors))
 
     @pytest.mark.parametrize("eps", [3e-8, 1e-8, 1e-9])
     @pytest.mark.parametrize("fixed_effects", [True, False])
@@ -697,15 +740,22 @@ class TestErrors:
                                            atol=1e-5 * oracle.max(), rtol=0)
 
     @pytest.mark.parametrize("fixed_effects", [True, False])
-    @pytest.mark.parametrize("factor", [1e160, 1e-160])
-    def test_variance_outside_the_double_range_names_the_column(self, factor, fixed_effects):
-        # x0's variance would be a few times 1e-322 (subnormal) or 1e318 (inf)
+    @pytest.mark.parametrize("factor", [1e160, 1e-160, pytest.param(-1076, id="2**-1076")])
+    def test_variance_outside_the_double_range_names_the_column(self, factor, fixed_effects,
+                                                                caplog):
+        # x0's variance would be a few times 1e-322 (subnormal) or 1e318 (inf).
+        # An int factor is a power-of-two exponent: at 2**-1076 x0 keeps one
+        # subnormal cell and the fit zeroes a leverage eigenvalue, which is
+        # not reported for a fit that is refused.
         ds = random_panel(np.random.default_rng(5), 6, 5, 2)
-        ds = ds.with_column("x0", ds.column("x0") * factor)
+        x0 = ds.column("x0")
+        ds = ds.with_column("x0", np.ldexp(x0, factor) if isinstance(factor, int) else x0 * factor)
         spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects)
-        with pytest.raises(EstimationError, match=r"^estimate or variance of \['x0'\] is "
-                           r"outside the range of a double; rescale the column$"):
-            fit_within_dk(ds, spec)
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            with pytest.raises(EstimationError, match=r"^estimate or variance of \['x0'\] is "
+                               r"outside the range of a double; rescale the column$"):
+                fit_within_dk(ds, spec)
+        assert estimation_warnings(caplog) == []
 
     def test_time_invariant_regressor_under_fe_is_collinear(self):
         rng = np.random.default_rng(42)
