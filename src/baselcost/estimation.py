@@ -1,17 +1,17 @@
 """Least-squares panel estimation with Driscoll-Kraay covariance.
 
 The point estimator is the within (fixed-effects) estimator: entity-demean
-the dependent variable and the regressors, then run OLS. When an intercept
-is requested together with fixed effects, the constant is that of the usual
-add-back construction (grand means added back to the demeaned data),
-mean(y) - m'b for the regressors' grand means m and within slopes b.
+the dependent variable and the regressors, then run OLS; a pooled fit
+demeans by the grand mean instead. Every fit has a constant, that of the
+usual add-back construction (grand means added back to the demeaned data):
+mean(y) - m'b for the regressors' grand means m and the slopes b.
 
-Each fit factors its design once: a thin SVD of the regressors (demeaned
-under fixed effects, [1, X] pooled) with each column divided by the norm of
-its raw values. The same factors give the rank check, the solve, the
-leverage basis and the covariance's bread; Z'Z is never formed. Every column
-is first divided by a power of two, which is exact, so nothing overflows on
-the way; an estimate or variance a double cannot hold is refused.
+Each fit factors its design once: a thin SVD of the demeaned regressors,
+each column divided by the norm of its raw values. The same factors give the
+rank check, the solve, the leverage basis and the covariance's bread; Z'Z is
+never formed. Every column is first divided by a power of two, which is
+exact, so nothing overflows on the way; an estimate or variance a double
+cannot hold is refused.
 
 The covariance follows Driscoll and Kraay (1998): collapse the moment
 conditions cross-sectionally into one score vector per period,
@@ -84,9 +84,11 @@ def newey_west_auto_bandwidth(n_periods: int) -> int:
 class RegressionSpec:
     """What to regress on what, and how to build the DK covariance.
 
-    dk_bandwidth is either "auto" or an explicit non-negative lag count.
-    small_sample toggles the few-period adjustment described in the module
-    docstring; it has no effect on point estimates.
+    Every fit has a constant, "const", added back from the means (module
+    docstring), so include_intercept accepts only True. dk_bandwidth is
+    either "auto" or an explicit non-negative lag count. small_sample
+    toggles the few-period adjustment described in the module docstring;
+    it has no effect on point estimates.
     """
 
     dependent: str
@@ -104,11 +106,15 @@ class RegressionSpec:
             raise DataError(f"regressors must be distinct, got {self.regressors}")
         if self.dependent in self.regressors:
             raise DataError(f"dependent {self.dependent!r} cannot also be a regressor")
+        if self.include_intercept is not True:
+            raise DataError(f"include_intercept must be True (every fit has a constant), "
+                            f"got {self.include_intercept!r}")
         if self.dk_bandwidth != "auto":
-            if not isinstance(self.dk_bandwidth, int) or self.dk_bandwidth < 0:
+            bandwidth = self.dk_bandwidth  # a bool is an int, but not a lag count
+            if isinstance(bandwidth, bool) or not isinstance(bandwidth, int) or bandwidth < 0:
                 raise DataError(
                     f"dk_bandwidth must be 'auto' or a non-negative integer, "
-                    f"got {self.dk_bandwidth!r}"
+                    f"got {bandwidth!r}"
                 )
 
 
@@ -200,9 +206,7 @@ def _usable_rows(
     Under fixed effects, entities left with fewer than 2 usable periods are
     removed with a logged warning; their ids are returned alongside.
     """
-    for name in (spec.dependent, *spec.regressors):
-        ds.column(name)  # raises DataError if absent
-    keep = ~np.isnan(ds.column(spec.dependent))
+    keep = ~np.isnan(ds.column(spec.dependent))  # ds.column raises DataError if absent
     for name in spec.regressors:
         keep &= ~np.isnan(ds.column(name))
 
@@ -223,9 +227,10 @@ class _Rows:
     """The rows one keep mask selects, shared by the specs fitted on them.
 
     The rows are stored in one stable sort by (period, d), with d = 1 - 1/T_i
-    under fixed effects and 1 pooled: entity codes, d, and each column's
-    memoised values and entity-demeaned values are in that order, cut into
-    per-period slices of equal-d groups. Stored row s is the dataset's cell
+    under fixed effects and 1 pooled: group codes, d, and each column's
+    memoised values and values demeaned within its group (its entity under
+    fixed effects, all rows pooled) are in that order, cut into per-period
+    slices of equal-d groups. Stored row s is the dataset's cell
     (_ei[s], _pj[s]). Built afresh by every fitting call.
     """
 
@@ -240,11 +245,12 @@ class _Rows:
         ent_code = (np.cumsum(ent_used) - 1)[ei]
         per_code = (np.cumsum(per_used) - 1)[pj]
         self.n_ent, self.n_per = int(ent_used.sum()), int(per_used.sum())
-        self.counts = np.bincount(ent_code).astype(float)  # T_i per entity
-        d = 1.0 - 1.0 / self.counts[ent_code] if fixed_effects else np.ones(self.n)
+        group = ent_code if fixed_effects else np.zeros_like(ent_code)
+        self.counts = np.bincount(group).astype(float)  # rows per group, T_i under FE
+        d = 1.0 - 1.0 / self.counts[group] if fixed_effects else np.ones(self.n)
 
         order = np.lexsort((d, per_code))
-        p, self.d, self.ent_code = per_code[order], d[order], ent_code[order]
+        p, self.d, self.group = per_code[order], d[order], group[order]
         starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (self.d[1:] != self.d[:-1])])
         spans = zip(starts.tolist(), np.r_[starts[1:], p.size].tolist())
         # per period, the slices of the rows that share one d
@@ -268,9 +274,9 @@ class _Rows:
         return self._values[name]
 
     def demeaned(self, name: str) -> np.ndarray:
-        """Column `name` at the rows less each entity's mean over its rows."""
+        """values(name) less its group's mean: the entity's, or pooled the grand mean."""
         if name not in self._demeaned:
-            self._demeaned[name] = entity_demean(self.values(name), self.ent_code, self.counts)
+            self._demeaned[name] = entity_demean(self.values(name), self.group, self.counts)
         return self._demeaned[name]
 
 
@@ -290,11 +296,14 @@ def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows,
     and the number of block eigenvalues zeroed on the way.
 
     M_t = diag(d_t) - U_t U_t' is the period-t block of the residual maker,
-    with U an orthonormal basis of the design's column space (the left
-    singular vectors of the fit's SVD). Under fixed effects the design is the
-    demeaned regressors and d = 1 - 1/T_i (each entity appears at most once
-    per period); in a pooled fit it is the full design and d = 1. The block is
-    never formed, and eigenvalues at most PINV_RTOL are zeroed.
+    with U an orthonormal basis of the part of the design's column space that
+    d does not account for. Under fixed effects that is the demeaned
+    regressors, whose left singular vectors from the fit's SVD are U, and
+    d = 1 - 1/T_i takes the entity means and with them the constant (each
+    entity appears at most once per period). In a pooled fit d = 1, and U is
+    those singular vectors with the constant's direction n^-1/2 (1, ..., 1)
+    appended; the demeaned columns sum to zero, so U stays orthonormal. The
+    block is never formed, and eigenvalues at most PINV_RTOL are zeroed.
 
     A period of N_t > k rows that share one d (as in pooled fits, and in
     fixed-effects fits on a balanced panel) needs only the k x k Gram matrix
@@ -351,17 +360,16 @@ def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows,
 
 
 def _influence_table(rows: _Rows, U: np.ndarray, M: np.ndarray, s: np.ndarray,
-                     means: np.ndarray | None) -> np.ndarray:
+                     means: np.ndarray) -> np.ndarray:
     """The T x p table g of per-period influences g_t = (Z'Z)^-1 Z_t' s_t over
     the periods that keep a row, for s the residuals or their leverage
-    adjustment. With the fit's thin SVD A / c = U S V', the slopes' rows
-    are M U_t' s_t, M = V S^-1 / c. `means` (fixed effects with an intercept)
-    are the regressors' grand means m; then Z = [1, A + m], and since A's
-    columns sum to zero the constant's row, put first, is
-    sum(s_t) / n - m' M U_t' s_t. U and s are in `rows`' (period, d) order."""
+    adjustment. With the fit's thin SVD A / c = U S V' of the demeaned
+    regressors A (by entity, or pooled by the grand mean), the slopes' rows
+    are M U_t' s_t, M = V S^-1 / c. `means` are the regressors' grand means
+    m; Z = [1, A + m], and since A's columns sum to zero the constant's row,
+    put first, is sum(s_t) / n - m' M U_t' s_t. U and s are in `rows`'
+    (period, d) order."""
     g = np.array([U[t].T @ s[t] for t in rows.periods]) @ M.T
-    if means is None:
-        return g
     sums = np.array([s[t].sum() for t in rows.periods])
     return np.column_stack([sums / rows.n - g @ means, g])
 
@@ -434,24 +442,15 @@ def _t_pvalue(t: float, df: int) -> float:
 
 def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     n, k, n_per = rows.n, len(spec.regressors), rows.n_per
-    column = rows.demeaned if spec.fixed_effects else rows.values
-    A, y = np.column_stack([column(r) for r in spec.regressors]), column(spec.dependent)
+    A = np.column_stack([rows.demeaned(r) for r in spec.regressors])
+    y = rows.demeaned(spec.dependent)
     raw = [rows.values(r) for r in spec.regressors]
-    names = spec.regressors
+    names = ("const", *spec.regressors)
     # The columns are stored over powers of two (_Rows.values), so each
     # parameter is found as 2**-shift times its value in the data's units.
     ey = rows.scale[spec.dependent]
-    shift = [ey - rows.scale[r] for r in spec.regressors]
-    if spec.fixed_effects:
-        tss = float(y @ y)
-        n_params = k + rows.n_ent
-    else:
-        tss = float(((y - y.mean()) ** 2).sum()) if spec.include_intercept else float(y @ y)
-        n_params = k + int(spec.include_intercept)
-        if spec.include_intercept:
-            ones = np.ones(n)
-            names, A, raw = ("const", *names), np.column_stack([ones, A]), [ones, *raw]
-            shift = [ey, *shift]
+    shift = np.array([ey, *(ey - rows.scale[r] for r in spec.regressors)])
+    n_params = k + (rows.n_ent if spec.fixed_effects else 1)
 
     # A pooled fit may be exact (df = 0); a within fit needs a residual degree
     # of freedom beyond the absorbed entity means.
@@ -461,26 +460,23 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         raise EstimationError(
             f"too few observations: {n} rows for {n_params} parameters{absorbed}")
 
-    # One thin SVD of the design on columns of unit raw norm gives the rank
-    # check, the solve, the leverage basis and the covariance's bread.
+    # One thin SVD of the demeaned regressors on columns of unit raw norm gives
+    # the rank check, the solve, the leverage basis and the covariance's bread.
     c = np.array([math.sqrt(v @ v) for v in raw])
     c[c == 0.0] = 1.0  # an all-zero column stays zero and fails the rank check
     U, sv, Vt = np.linalg.svd(A / c, full_matrices=False)
     if sv[-1] < RANK_RTOL:
         load = np.abs(Vt[-1])
-        guilty = [name for name, w in zip(names, load) if w > 0.25 * load.max()]
+        guilty = [name for name, w in zip(spec.regressors, load) if w > 0.25 * load.max()]
         raise EstimationError(f"design matrix is rank deficient; collinear columns: {guilty}")
     M = Vt.T / sv / c[:, None]  # theta = M U'y, and (A'A)^-1 A' = M U'
     uy = U.T @ y
     theta = M @ uy
     resid = y - U @ uy
-    ssr = float(resid @ resid)
-    means = None
-    if spec.fixed_effects and spec.include_intercept:
-        # the constant of the fit on [1, A + m]: A's columns sum to zero
-        means = np.array([v.mean() for v in raw])
-        names, shift = ("const", *names), [ey, *shift]
-        theta = np.r_[rows.values(spec.dependent).mean() - means @ theta, theta]
+    ssr, tss = float(resid @ resid), float(y @ y)
+    # the constant of the fit on [1, A + m]: A's columns sum to zero
+    means = np.array([v.mean() for v in raw])
+    theta = np.r_[rows.values(spec.dependent).mean() - means @ theta, theta]
 
     bandwidth = spec.dk_bandwidth
     if bandwidth == "auto":
@@ -494,7 +490,9 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     else:
         s = resid
         if spec.small_sample:
-            s, n_zeroed = _leverage_adjusted_residuals(U, rows, resid)
+            # a pooled fit's d = 1 leaves the constant's direction to the basis
+            basis = U if spec.fixed_effects else np.column_stack([U, np.full(n, n ** -0.5)])
+            s, n_zeroed = _leverage_adjusted_residuals(basis, rows, resid)
         g = _influence_table(rows, U, M, s, means)
         factor = ((n - 1.0) / df * (n_per / (n_per - 1.0) if n_per > 1 else 1.0)
                   if spec.small_sample else 1.0)
@@ -503,7 +501,6 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     # Back to the data's units. An estimate that overflows, or a nonzero
     # variance that a double cannot hold as a normal number, is refused;
     # nothing before this can overflow.
-    shift = np.array(shift)
     scaled_var = np.diag(cov)
     with np.errstate(over="ignore"):
         theta, cov = np.ldexp(theta, shift), np.ldexp(cov, shift[:, None] + shift)

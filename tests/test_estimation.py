@@ -144,12 +144,11 @@ def cr2_dk_oracle(ds, spec):
     if spec.fixed_effects:
         dummies = (ei[:, None] == np.unique(ei)[None, :]).astype(float)
         X_dm = Xv - dummies @ np.linalg.pinv(dummies) @ Xv
-        Z = np.column_stack([ones, X_dm + Xv.mean(axis=0)]) if spec.include_intercept else X_dm
+        Z = np.column_stack([ones, X_dm + Xv.mean(axis=0)])
         design = np.column_stack([dummies, Xv])
         n_params = dummies.shape[1] + Xv.shape[1]
     else:
-        Z = np.column_stack([ones, Xv]) if spec.include_intercept else Xv
-        design = Z
+        Z = design = np.column_stack([ones, Xv])
         n_params = Z.shape[1]
     M = np.eye(n) - design @ np.linalg.pinv(design)
     resid = M @ yv
@@ -179,7 +178,7 @@ def reparametrized_cr2_oracle(ds, spec, eps):
     from the well-conditioned fit on (..., x0, z) mapped back: the slopes
     (b0, bz) there are (b0 - bz / eps, bz / eps) here. z is taken from the
     stored columns, where x1 - x0 is exact, so the two fits are of one design."""
-    names = (("const",) if spec.include_intercept else ()) + spec.regressors
+    names = ("const",) + spec.regressors
     i0, i1 = names.index("x0"), names.index("x1")
     ds = ds.with_column("z", (ds.column("x1") - ds.column("x0")) / eps)
     regs = tuple("z" if r == "x1" else r for r in spec.regressors)
@@ -447,7 +446,6 @@ def small_panels(draw):
     y[np.reshape(missing, (n_ent, n_per))] = np.nan
     spec = RegressionSpec(
         "y", tuple(f"x{j}" for j in range(n_reg)),
-        include_intercept=draw(st.booleans()),
         fixed_effects=draw(st.booleans()),
         dk_bandwidth=draw(st.sampled_from((0, 1, "auto"))),
     )
@@ -456,13 +454,12 @@ def small_panels(draw):
 
 class TestSmallSampleCovariance:
     @pytest.mark.parametrize("bandwidth", [0, 1, "auto"])
-    @pytest.mark.parametrize("include_intercept", [True, False])
     @pytest.mark.parametrize("fixed_effects", [True, False])
-    def test_matches_dense_oracle(self, fixed_effects, include_intercept, bandwidth, caplog):
+    def test_matches_dense_oracle(self, fixed_effects, bandwidth, caplog):
         # the balanced panel's periods each have one d, the mixed panel's several
         rng = np.random.default_rng(51)
-        spec = RegressionSpec("y", ("x0", "x1"), include_intercept=include_intercept,
-                              fixed_effects=fixed_effects, dk_bandwidth=bandwidth)
+        spec = RegressionSpec("y", ("x0", "x1"), fixed_effects=fixed_effects,
+                              dk_bandwidth=bandwidth)
         for ds in (mixed_length_panel(rng), random_panel(rng, 12, 5, 2)):
             with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
                 fit = fit_within_dk(ds, spec)
@@ -527,8 +524,8 @@ class TestSmallSampleCovariance:
         # a block eigenvalue lam by about eps * cond(X)^2 in both computations,
         # and lam^(-1/2) by that over lam, so two correct results drift apart
         # on near-singular blocks or with one residual degree of freedom; a
-        # covariance that is zero in exact arithmetic (fixed effects without
-        # intercept on two periods) is rounding on both sides.
+        # covariance that is zero in exact arithmetic is rounding on both
+        # sides.
         assume(fit.df_resid >= 2)
         oracle, smallest_kept, iid = cr2_dk_oracle(ds, spec)
         assume(smallest_kept >= 1e-3)
@@ -765,6 +762,14 @@ class TestErrors:
         with pytest.raises(EstimationError, match="rank deficient"):
             fit_within_dk(ds, RegressionSpec("y", ("w",)))
 
+    def test_constant_regressor_in_pooled_fit_is_collinear(self):
+        # the constant is taken by demeaning, so only w is left to name
+        rng = np.random.default_rng(42)
+        ds = make_panel([f"E{i}" for i in range(4)], list(range(6)), x=rng.normal(0, 1, (4, 6)),
+                        w=np.full((4, 6), 2.5), y=rng.normal(0, 1, (4, 6)))
+        with pytest.raises(EstimationError, match=r"collinear columns: \['w'\]$"):
+            fit_within_dk(ds, RegressionSpec("y", ("x", "w"), fixed_effects=False))
+
     def test_too_few_observations(self):
         ds = make_panel(["A"], [1, 2], x=[[1.0, 2.0]], w=[[0.5, 3.0]], y=[[1.0, 2.0]])
         with pytest.raises(EstimationError, match=r"^too few observations: 2 rows for "
@@ -789,6 +794,10 @@ class TestErrors:
             RegressionSpec("y", ("y", "x"))
         with pytest.raises(DataError):
             RegressionSpec("y", ("x",), dk_bandwidth=-1)
+        with pytest.raises(DataError, match="dk_bandwidth"):
+            RegressionSpec("y", ("x",), dk_bandwidth=True)
+        with pytest.raises(DataError, match="include_intercept"):
+            RegressionSpec("y", ("x",), include_intercept=False)
 
     def test_thin_entities_dropped_with_warning(self, caplog):
         rng = np.random.default_rng(43)
