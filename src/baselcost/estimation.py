@@ -61,6 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import flag, integer
 from .errors import DataError, EstimationError
 from .panel import PanelDataset, entity_demean
 
@@ -86,9 +87,10 @@ class RegressionSpec:
 
     Every fit has a constant, "const", added back from the means (module
     docstring), so include_intercept accepts only True. dk_bandwidth is
-    either "auto" or an explicit non-negative lag count. small_sample
+    "auto" or a non-negative int, not a bool or a float. small_sample
     toggles the few-period adjustment described in the module docstring;
-    it has no effect on point estimates.
+    it has no effect on point estimates. fixed_effects and small_sample must
+    be bools, and regressors neither a str nor a set (else a DataError).
     """
 
     dependent: str
@@ -99,6 +101,8 @@ class RegressionSpec:
     small_sample: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.regressors, (str, set, frozenset)):  # letters; a hash-seeded order
+            raise DataError(f"regressors must be a sequence of names, got {self.regressors!r}")
         object.__setattr__(self, "regressors", tuple(self.regressors))
         if not self.regressors:
             raise DataError("at least one regressor is required")
@@ -109,13 +113,10 @@ class RegressionSpec:
         if self.include_intercept is not True:
             raise DataError(f"include_intercept must be True (every fit has a constant), "
                             f"got {self.include_intercept!r}")
+        flag("fixed_effects", self.fixed_effects)
+        flag("small_sample", self.small_sample)
         if self.dk_bandwidth != "auto":
-            bandwidth = self.dk_bandwidth  # a bool is an int, but not a lag count
-            if isinstance(bandwidth, bool) or not isinstance(bandwidth, int) or bandwidth < 0:
-                raise DataError(
-                    f"dk_bandwidth must be 'auto' or a non-negative integer, "
-                    f"got {bandwidth!r}"
-                )
+            object.__setattr__(self, "dk_bandwidth", integer("dk_bandwidth", self.dk_bandwidth, 0))
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._bankyear import read_json
+from ._checks import integer, real
 from .errors import DataError
 from .ratios import required_deltas
 
@@ -81,8 +82,7 @@ class CoefficientSet:
 
     def __post_init__(self) -> None:
         for _, _, name in _COEFFICIENTS:
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"coefficient {name} must be finite")
+            real(f"coefficient {name}", getattr(self, name))
         if self.provenance not in PROVENANCES:
             raise DataError(
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
@@ -151,7 +151,8 @@ class ScenarioInput:
 
     mode "chained" maps the lending response one-for-one into the
     lending-to-GDP ratio (GDP held fixed); mode "exogenous" uses the
-    caller-supplied delta_lgdp instead.
+    caller-supplied delta_lgdp instead. A shock or delta_lgdp that is a bool,
+    a str or not finite (an int beyond a double too) is a DataError.
     """
 
     delta_cap: float = 0.0
@@ -160,14 +161,12 @@ class ScenarioInput:
     delta_lgdp: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_cap) and math.isfinite(self.delta_liq)):
-            name = "delta_liq" if math.isfinite(self.delta_cap) else "delta_cap"
-            raise DataError(f"shock input {name} must be finite, got {getattr(self, name)!r}")
+        real("shock input delta_cap", self.delta_cap)
+        real("shock input delta_liq", self.delta_liq)
         if self.mode not in SCENARIO_MODES:
             raise DataError(f"mode must be one of {SCENARIO_MODES}, got {self.mode!r}")
         if self.mode == "exogenous":
-            if self.delta_lgdp is None or not math.isfinite(self.delta_lgdp):
-                raise DataError("exogenous mode needs a finite delta_lgdp")
+            real("exogenous mode delta_lgdp", self.delta_lgdp)
         elif self.delta_lgdp is not None:
             raise DataError("delta_lgdp is only meaningful in exogenous mode")
 
@@ -304,6 +303,7 @@ def phase_in_scenario(
     "phase-in <year>: " or "phase-in cumulative: ".
     """
     required_deltas(from_year, to_year)  # refuses a window outside or reversed
+    real("delta_liq_per_year", delta_liq_per_year)
     steps = []
     total_cap = 0.0
     for year in range(from_year, to_year):
@@ -343,16 +343,14 @@ def simulate_panel(
     intercepts remain the identified ones. With noise_sd = 0 the generated
     columns satisfy the equations exactly. Periods are the years from 2010.
 
-    Deterministic for a given seed, which must be a non-negative integer.
+    Deterministic for a given seed. n_banks >= 2, n_years >= 3 and seed >= 0
+    must be ints, not bools, and noise_sd a finite number >= 0 (else DataError).
     """
-    if n_banks < 2:
-        raise DataError(f"n_banks must be >= 2, got {n_banks}")
-    if n_years < 3:
-        raise DataError(f"n_years must be >= 3, got {n_years}")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+    integer("n_banks", n_banks, 2)
+    integer("n_years", n_years, 3)
+    if real("noise_sd", noise_sd) < 0:
         raise DataError(f"noise_sd must be a non-negative number, got {noise_sd!r}")
-    if seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    integer("seed", seed, 0)
 
     import numpy as np
     from .panel import PanelDataset
@@ -405,16 +403,8 @@ def fit_system(
         raise DataError(f"dataset lacks system column(s) {missing}; apply transforms first")
 
     from .estimation import RegressionSpec, fit_within_dk_many
-    specs = [
-        RegressionSpec(
-            dependent=eq,
-            regressors=regs,
-            fixed_effects=True,
-            dk_bandwidth=dk_bandwidth,
-            small_sample=small_sample,
-        )
-        for eq, regs in EQUATIONS
-    ]
+    specs = [RegressionSpec(eq, regs, dk_bandwidth=dk_bandwidth, small_sample=small_sample)
+             for eq, regs in EQUATIONS]
     fits = tuple(fit_within_dk_many(ds, specs))
     by_eq = {eq: fit for (eq, _), fit in zip(EQUATIONS, fits)}
     coeffs = CoefficientSet(

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._bankyear import read_bank_years, read_json
+from ._checks import integer
 from .errors import DataError
 
 TRANSFORMS = ("none", "log")
@@ -72,9 +73,11 @@ class PanelDataset:
     def __post_init__(self) -> None:
         if len(set(self.entities)) != len(self.entities):
             raise DataError("entity ids must be unique")
-        if any(b <= a for a, b in zip(self.periods, self.periods[1:])):
+        periods = tuple(integer(f"periods[{j}]", p) for j, p in enumerate(self.periods))
+        object.__setattr__(self, "periods", periods)
+        if any(b <= a for a, b in zip(periods, periods[1:])):
             raise DataError("periods must be strictly increasing")
-        shape = (len(self.entities), len(self.periods))
+        shape = (len(self.entities), len(periods))
         frozen = {}
         for name, mat in self.columns.items():
             mat = np.asarray(mat, dtype=float)

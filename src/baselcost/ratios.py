@@ -23,6 +23,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from ._bankyear import read_bank_years, read_json
+from ._checks import integer, real
 from .errors import DataError
 
 
@@ -80,7 +81,7 @@ class NsfrWeights:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            w = getattr(self, f.name)
+            w = real(f"weight {f.name}", getattr(self, f.name))
             if not 0.0 <= w <= 1.0:
                 raise DataError(f"weight {f.name} must lie in [0, 1], got {w!r}")
 
@@ -332,7 +333,8 @@ def required_deltas(from_year: int, to_year: int) -> dict[str, float]:
     `to_year`. The result is a shock vector suitable for the scenario engine,
     e.g. required_deltas(2015, 2019)["total_plus_buffer_pct"] == 2.5.
     """
-    start, end = _SCHEDULE_ROW.get(from_year), _SCHEDULE_ROW.get(to_year)
+    start = _SCHEDULE_ROW.get(integer("from_year", from_year))
+    end = _SCHEDULE_ROW.get(integer("to_year", to_year))
     if start is None or end is None:
         raise DataError(
             f"both years must lie in the schedule ({BANGLADESH_SCHEDULE[0].year}-"

@@ -798,6 +798,10 @@ class TestErrors:
             RegressionSpec("y", ("x",), dk_bandwidth=True)
         with pytest.raises(DataError, match="include_intercept"):
             RegressionSpec("y", ("x",), include_intercept=False)
+        with pytest.raises(DataError, match="regressors"):
+            RegressionSpec("y", "liq")  # not ("l", "i", "q")
+        with pytest.raises(DataError, match="regressors"):
+            RegressionSpec("y", {"x0", "x1"})  # a set's order follows the hash seed
 
     def test_thin_entities_dropped_with_warning(self, caplog):
         rng = np.random.default_rng(43)

@@ -77,7 +77,7 @@ class TestPreset:
         (lambda raw: raw["spread"].update(liq=None), "spread.liq must be a JSON number, got None"),
         (lambda raw: raw["spread"].update(liq=10**400), "spread.liq is too large for a float"),
         (lambda raw: raw["spread"].update(liq=float("inf")),
-         "coefficient spread_liq must be finite"),
+         "coefficient spread_liq must be finite, got inf"),
         (lambda raw: raw.update(provenance="guess"),
          "provenance must be one of ('paper-preset', 'fitted', 'user'), got 'guess'"),
     ], ids=["block", "key", "block-not-object", "string", "null", "huge-int", "inf",
