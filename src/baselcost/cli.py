@@ -137,8 +137,8 @@ def cmd_phasein(args) -> int:
                 for c in r.checks
             ]
             head = (
-                f"{r.entity} {r.year}"
-                + (f" (steady state: {r.schedule_year} rules)" if r.steady_state else "")
+                f"{r.position.entity} {r.position.year}"
+                + (f" (steady state: {r.requirements.year} rules)" if r.steady_state else "")
                 + f" -> {'PASS' if r.overall_pass else 'FAIL'}"
             )
             blocks.append(
@@ -300,7 +300,7 @@ def cmd_simulate(args) -> int:
     result = propagate_shock(coeffs, shock)
     lines = [
         f"shock: d_liq={args.dliq:+.4g} pp, d_cap={args.dcap:+.4g} pp "
-        f"({args.mode}, coefficients: {result.provenance})"
+        f"({args.mode}, coefficients: {result.coefficients.provenance})"
     ]
     for step in result.trace:
         terms = ", ".join(f"{k} = {v:+.6g}" for k, v in step["terms"].items())

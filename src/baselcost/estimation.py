@@ -142,9 +142,6 @@ class FitResult:
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.param_names.index(name)])
 
-    def se(self, name: str) -> float:
-        return float(self.std_errors[self.param_names.index(name)])
-
     def to_dict(self) -> dict:
         return {
             "params": [

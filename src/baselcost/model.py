@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ._bankyear import read_json
-from ._checks import integer, real
+from ._checks import integer, json_number, real
 from .errors import DataError
 from .ratios import required_deltas
 
@@ -97,17 +97,11 @@ class CoefficientSet:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CoefficientSet":
-        def number(eq: str, term: str) -> float:  # float() reads true and "0.3"
+        def number(eq: str, term: str) -> float:
             block = raw.get(eq) if isinstance(raw, dict) else None
             if not isinstance(block, dict) or term not in block:
                 raise DataError(f"missing {eq}.{term}")
-            value = block[term]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"{eq}.{term} must be a JSON number, got {value!r}")
-            try:
-                return float(value)
-            except OverflowError:
-                raise DataError(f"{eq}.{term} is too large for a float") from None
+            return json_number(f"{eq}.{term}", block[term])
         try:
             return cls(
                 **{name: number(eq, term) for eq, term, name in _COEFFICIENTS},
@@ -177,7 +171,7 @@ class ScenarioResult:
     lending/ROE responses are log-point responses read as percent.
 
     `coefficients` and `shock` are the inputs the responses were built from;
-    `provenance`, `mode` and `trace` are derived from them on each access.
+    `trace` is derived from them on each access.
     """
 
     delta_spread: float
@@ -186,14 +180,6 @@ class ScenarioResult:
     delta_roe: float
     coefficients: CoefficientSet
     shock: ScenarioInput
-
-    @property
-    def provenance(self) -> str:
-        return self.coefficients.provenance
-
-    @property
-    def mode(self) -> str:
-        return self.shock.mode
 
     @property
     def trace(self) -> tuple[dict, ...]:
@@ -213,7 +199,7 @@ class ScenarioResult:
                                     for field, key, driver in items},
                           "value": getattr(self, f"delta_{eq}")})
             if eq == "lending":
-                trace.append({"step": "lending_to_gdp", "formula": _LGDP_FORMULA[self.mode],
+                trace.append({"step": "lending_to_gdp", "formula": _LGDP_FORMULA[self.shock.mode],
                               "terms": {"d_lgdp": lgdp}, "value": lgdp})
         return tuple(trace)
 
@@ -223,7 +209,7 @@ class ScenarioResult:
             "delta_lending": self.delta_lending,
             "delta_lgdp": self.delta_lgdp,
             "delta_roe": self.delta_roe,
-            "provenance": self.provenance,
+            "provenance": self.coefficients.provenance,
             "trace": list(self.trace),
             "note": (
                 "shock units follow the scenario narrative: 1 = one percentage "

@@ -62,8 +62,8 @@ class PanelDataset:
     """Rectangular bank-year panel.
 
     columns maps variable name -> (n_entities, n_periods) float matrix with
-    NaN for missing cells. Entity order follows first appearance in the
-    source; periods are strictly increasing integers.
+    NaN for missing cells. Entity ids, non-empty strs with no surrounding
+    blanks, follow first appearance in the source; periods increase strictly.
     """
 
     entities: tuple[str, ...]
@@ -71,6 +71,11 @@ class PanelDataset:
     columns: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entities", tuple(self.entities))
+        for i, e in enumerate(self.entities):  # only ids that a CSV round trip keeps
+            if not isinstance(e, str) or not e or e != e.strip():
+                raise DataError(f"entities[{i}] must be a non-empty str without "
+                                f"surrounding whitespace, got {e!r}")
         if len(set(self.entities)) != len(self.entities):
             raise DataError("entity ids must be unique")
         periods = tuple(integer(f"periods[{j}]", p) for j, p in enumerate(self.periods))

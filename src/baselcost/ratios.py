@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from ._bankyear import read_bank_years, read_json
-from ._checks import integer, real
+from ._checks import integer, json_number, real
 from .errors import DataError
 
 
@@ -98,6 +98,7 @@ class NsfrWeights:
             raise DataError(f"malformed weights file {path}: expected a JSON object")
         names = {f.name for f in fields(cls)}
         overrides = {}
+        malformed = f"malformed weights file {path}:"
         for group, block in raw.items():
             if group not in ("asf", "rsf"):
                 raise DataError(f"weights file {path}: unknown group {group!r}")
@@ -106,11 +107,11 @@ class NsfrWeights:
             for key, w in block.items():
                 if f"{group}_{key}" not in names:
                     raise DataError(f"weights file {path}: unknown {group} weight {key!r}")
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    raise DataError(f"malformed weights file {path}: {group} weight "
-                                    f"{key!r} must be a JSON number, got {w!r}")
-                overrides[f"{group}_{key}"] = w
-        return cls(**overrides)
+                overrides[f"{group}_{key}"] = json_number(f"{malformed} {group} weight {key!r}", w)
+        try:
+            return cls(**overrides)
+        except DataError as exc:  # a weight outside [0, 1] or not finite
+            raise DataError(f"{malformed} {exc}") from None
 
 
 DEFAULT_WEIGHTS = NsfrWeights()
@@ -247,18 +248,6 @@ class ComplianceReport:
     steady_state: bool
 
     @property
-    def entity(self) -> str:
-        return self.position.entity
-
-    @property
-    def year(self) -> int:
-        return self.position.year
-
-    @property
-    def schedule_year(self) -> int:
-        return self.requirements.year
-
-    @property
     def checks(self) -> tuple[RequirementCheck, ...]:
         """One record per requirement, built fresh on each access.
 
@@ -292,9 +281,9 @@ class ComplianceReport:
 
     def to_dict(self) -> dict:
         return {
-            "entity": self.entity,
-            "year": self.year,
-            "schedule_year": self.schedule_year,
+            "entity": self.position.entity,
+            "year": self.position.year,
+            "schedule_year": self.requirements.year,
             "steady_state": self.steady_state,
             "overall_pass": self.overall_pass,
             "checks": [asdict(c) for c in self.checks],

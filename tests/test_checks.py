@@ -57,12 +57,13 @@ SITES = [
 
 # For each kind wanted, the wrong kinds of value that must be refused.
 TEXT = st.text(max_size=8).filter(lambda s: s != "auto")  # "auto" is a dk_bandwidth
+NP_BOOL = st.sampled_from([np.True_, np.False_])
 WRONG = {
     "flag": {"str": TEXT, "int": st.integers(-2, 2), "none": st.none()},
-    "real": {"bool": st.booleans(), "str": TEXT,
+    "real": {"bool": st.booleans(), "np-bool": NP_BOOL, "str": TEXT,
              "huge-int": st.just(10**400) | st.integers(min_value=2**1024)
              | st.integers(max_value=-2**1024)},
-    "int": {"bool": st.booleans(), "str": TEXT,
+    "int": {"bool": st.booleans(), "np-bool": NP_BOOL, "str": TEXT,
             "float": st.floats().filter(lambda x: not x.is_integer())},
 }
 CASES = [(field, call, wrong, strategy)

@@ -256,6 +256,24 @@ class TestFit:
                      "--dep", "spread", "--regressors", "liq,liq2"]) == 3
         assert "collinear" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("y, opts, thin", [
+        (("", "", "", ""), [], False),
+        (("", "", "", ""), ["--no-fe"], False),
+        (("1", "", "", "4"), [], True),  # one usable year per bank
+    ], ids=["blank-dep", "blank-dep-pooled", "one-year-each"])
+    def test_no_usable_observations_exits_3(self, tmp_path, caplog, capsys, y, opts, thin):
+        p = tmp_path / "p.csv"
+        p.write_text("bank_id,year,y,x\n" + "".join(
+            f"{b},{t},{v},{x}\n" for (b, t, x), v in
+            zip([("A", 2010, 1), ("A", 2011, 2), ("B", 2010, 3), ("B", 2011, 4)], y)))
+        with caplog.at_level(logging.WARNING, logger="baselcost.estimation"):
+            assert main(["fit", "--panel", str(p), "--model", "custom", "--dep", "y",
+                         "--regressors", "x", *opts]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("no usable observations after listwise deletion\n")
+        assert [r.getMessage() for r in caplog.records] == (
+            ["dropping 2 entities with fewer than 2 usable periods: ['A', 'B']"] if thin else [])
+
     def test_near_collinear_design_exits_0(self, tmp_path):
         # x1 = x0 + 1e-9 * noise passes the rank check, so every fit succeeds
         codes = []
@@ -676,6 +694,18 @@ class TestJsonInputs:
             message = f"malformed coefficient set: spread.liq must be a JSON number, got {value!r}"
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, fault", [
+        ('{"rsf": {"govt_debt": 1.5}}', "weight rsf_govt_debt must lie in [0, 1], got 1.5"),
+        ('{"rsf": {"govt_debt": NaN}}', "weight rsf_govt_debt must be finite, got nan"),
+        ('{"asf": {"ge_1y": 1' + "0" * 400 + '}}', "asf weight 'ge_1y' is too large for a float"),
+    ], ids=["out-of-range", "nan", "huge-int"])
+    def test_weight_value_fault_names_the_file(self, tmp_path, text, fault, capsys):
+        p = tmp_path / "w.json"
+        p.write_text(text)
+        assert main(["ratios", "--balance-sheets", str(ROOT / "data" / "balance_sheets.csv"),
+                     "--weights", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed weights file {p}: {fault}\n")
 
     @pytest.mark.parametrize("entry", [
         {"name": "lending", "transfrom": "log"},

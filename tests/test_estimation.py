@@ -198,7 +198,7 @@ class TestPointEstimates:
                         x=x, y=effects + 2.0 * x)
         fit = fit_within_dk(ds, RegressionSpec("y", ("x",)))
         assert fit.coef("x") == pytest.approx(2.0, abs=1e-10)
-        assert fit.se("x") < 1e-8
+        assert fit.std_errors[fit.param_names.index("x")] < 1e-8
         assert fit.r_squared_within == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dummy_variable_oracle(self):
@@ -357,8 +357,8 @@ class TestCovariance:
             b = fit_within_dk(scaled, RegressionSpec("y", ("x0", "x1"),
                                                      small_sample=small_sample))
             assert b.coef("x0") == pytest.approx(a.coef("x0") / factor, rel=1e-10)
-            assert b.se("x0") == pytest.approx(a.se("x0") / factor, rel=1e-10)
             i = a.param_names.index("x0")
+            assert b.std_errors[i] == pytest.approx(a.std_errors[i] / factor, rel=1e-10)
             assert b.t_stats[i] == pytest.approx(a.t_stats[i], rel=1e-10)
             assert b.p_values[i] == pytest.approx(a.p_values[i], rel=1e-10)
 

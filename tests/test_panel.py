@@ -273,6 +273,17 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             make_panel(["A", "A"], [1], x=[[1.0], [2.0]])
 
+    def test_entity_ids_survive_a_csv_round_trip(self, tmp_path):
+        for entities, i in [((1, 2), 0), (("A", " A"), 1), (("A", "B\t"), 1), (("",), 0)]:
+            with pytest.raises(DataError) as info:
+                PanelDataset(entities, (2010,), {"x": np.ones((len(entities), 1))})
+            assert str(info.value) == (f"entities[{i}] must be a non-empty str without "
+                                       f"surrounding whitespace, got {entities[i]!r}")
+        ds = PanelDataset(["A", "B"], (2010,), {"x": np.ones((2, 1))})
+        assert ds.entities == ("A", "B")  # a tuple, as the periods are
+        write_panel(ds, tmp_path / "p.csv")
+        assert_same_panel(load_panel(tmp_path / "p.csv", []), ds)
+
     def test_nonincreasing_periods_rejected(self):
         with pytest.raises(DataError):
             make_panel(["A"], [2, 1], x=[[1.0, 2.0]])

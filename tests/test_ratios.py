@@ -244,7 +244,7 @@ class TestCompliance:
     def test_outside_years_use_terminal_rules(self):
         report = check_compliance(position(2024, 7.0, 9.0, 12.5, 3.0, 1.0, 1.01))
         assert report.steady_state
-        assert report.schedule_year == 2019
+        assert report.requirements.year == 2019
         assert report.overall_pass
 
     def test_pass_iff_zero_shortfalls(self):
@@ -330,7 +330,6 @@ class TestComplianceReportProperties:
         assert report.to_dict() == expected
         assert report.checks == checks
         assert report.overall_pass == all(c.passed for c in report.checks if not c.advisory)
-        assert (report.entity, report.year) == (pos.entity, pos.year)
         assert report.position is pos
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
