@@ -224,39 +224,43 @@ def _usable_rows(
 class _Rows:
     """The rows one keep mask selects, shared by the specs fitted on them.
 
-    The rows are stored in one stable sort by (period, d), with d = 1 - 1/T_i
+    The rows are stored in order of (period, d, entity), with d = 1 - 1/T_i
     under fixed effects and 1 pooled: group codes, d, and each column's
     memoised values and values demeaned within its group (its entity under
     fixed effects, all rows pooled) are in that order, cut into per-period
-    slices of equal-d groups. Stored row s is the dataset's cell
-    (_ei[s], _pj[s]). Built afresh by every fitting call.
+    slices of equal-d groups. Stored row s is the cell at flat index _flat[s]
+    of the dataset's entities x periods grid, and grid() puts a row vector
+    back on that grid. Built afresh by every fitting call.
     """
 
     def __init__(self, ds: PanelDataset, keep: np.ndarray, dropped: tuple[str, ...],
                  fixed_effects: bool) -> None:
-        ei, pj = np.nonzero(keep)
+        pj, ei = np.nonzero(keep.T)  # period-major, so already by (period, entity)
         if ei.size == 0:
             raise EstimationError("no usable observations after listwise deletion")
         self.n, self.dropped = ei.size, dropped
         # compact codes over the entities and periods that keep any row
         ent_used, per_used = keep.any(axis=1), keep.any(axis=0)
         ent_code = (np.cumsum(ent_used) - 1)[ei]
-        per_code = (np.cumsum(per_used) - 1)[pj]
+        p = (np.cumsum(per_used) - 1)[pj]
         self.n_ent, self.n_per = int(ent_used.sum()), int(per_used.sum())
         group = ent_code if fixed_effects else np.zeros_like(ent_code)
         self.counts = np.bincount(group).astype(float)  # rows per group, T_i under FE
         d = 1.0 - 1.0 / self.counts[group] if fixed_effects else np.ones(self.n)
+        flat = ei * keep.shape[1] + pj
+        if fixed_effects and self.counts.min() < self.counts.max():  # d varies
+            order = np.lexsort((d, p))  # stable, so entities stay in order
+            p, d, group, flat = p[order], d[order], group[order], flat[order]
+        self.d, self.group, self._flat, self._shape = d, group, flat, keep.shape
 
-        order = np.lexsort((d, per_code))
-        p, self.d, self.group = per_code[order], d[order], group[order]
-        starts = np.flatnonzero(np.r_[True, (p[1:] != p[:-1]) | (self.d[1:] != self.d[:-1])])
-        spans = zip(starts.tolist(), np.r_[starts[1:], p.size].tolist())
+        cuts = (np.flatnonzero((p[1:] != p[:-1]) | (d[1:] != d[:-1])) + 1).tolist()
+        spans = zip([0, *cuts], [*cuts, self.n])
         # per period, the slices of the rows that share one d
         self.groups = [[slice(a, b) for a, b in period_spans]
                        for _, period_spans in groupby(spans, key=lambda span: p[span[0]])]
         self.periods = [slice(g[0].start, g[-1].stop) for g in self.groups]
 
-        self._ds, self._ei, self._pj = ds, ei[order], pj[order]
+        self._ds = ds
         self._values: dict[str, np.ndarray] = {}
         self._demeaned: dict[str, np.ndarray] = {}
         self.scale: dict[str, int] = {}
@@ -266,10 +270,16 @@ class _Rows:
         puts its largest magnitude in [1/2, 1). Exact in the normal range, and
         no sum or product of the fit can overflow."""
         if name not in self._values:
-            v = self._ds.column(name)[self._ei, self._pj]
+            v = self._ds.column(name).ravel().take(self._flat)
             self.scale[name] = math.frexp(float(np.abs(v).max()))[1]
             self._values[name] = np.ldexp(v, -self.scale[name])
         return self._values[name]
+
+    def grid(self, v: np.ndarray) -> np.ndarray:
+        """Row vector v on the dataset's entities x periods grid, NaN where no row."""
+        out = np.full(self._shape, np.nan)
+        np.put(out, self._flat, v)
+        return out
 
     def demeaned(self, name: str) -> np.ndarray:
         """values(name) less its group's mean: the entity's, or pooled the grand mean."""
@@ -326,21 +336,25 @@ def _leverage_adjusted_residuals(U: np.ndarray, rows: _Rows,
     out = np.empty_like(resid)
     n_zeroed = 0
     k = U.shape[1]
-    for t, groups in zip(rows.periods, rows.groups):
-        if len(groups) == 1 and t.stop - t.start > k:  # from the Gram matrix
-            Ut, d = U[t], float(rows.d[t.start])
-            sd = math.sqrt(d)
-            mu, V = np.linalg.eigh(Ut.T @ Ut)
-            lam = d - mu
-            kept = lam > PINV_RTOL
-            n_zeroed += k - int(kept.sum())
-            root = np.sqrt(lam[kept])
-            phi = np.empty(k)
-            phi[kept] = 1.0 / (root * sd * (sd + root))
-            phi[~kept] = -1.0 / (sd * mu[~kept])
-            out[t] = resid[t] / sd + Ut @ (V @ (phi * (V.T @ (Ut.T @ resid[t]))))
-            continue
+    by_gram = [len(g) == 1 and t.stop - t.start > k for t, g in zip(rows.periods, rows.groups)]
+    gram = [t for t, b in zip(rows.periods, by_gram) if b]
+    if gram:  # from the Gram matrices, all periods' in one batched eigh
+        d = rows.d[[t.start for t in gram]]
+        mu, V = np.linalg.eigh(np.array([U[t].T @ U[t] for t in gram]))
+        lam, sd = d[:, None] - mu, np.sqrt(d)[:, None]
+        kept = lam > PINV_RTOL
+        root = np.sqrt(np.maximum(lam, PINV_RTOL))  # sqrt(lam) wherever kept
+        phi = 1.0 / (root * sd * (sd + root))
+        if not kept.all():
+            n_zeroed += kept.size - int(kept.sum())
+            np.divide(-1.0, sd * mu, out=phi, where=~kept)
+        for t, s, V_t, phi_t in zip(gram, sd.ravel().tolist(), V, phi):
+            Ut = U[t]
+            out[t] = resid[t] / s + Ut @ (V_t @ (phi_t * (V_t.T @ (Ut.T @ resid[t]))))
 
+    for t, groups, b in zip(rows.periods, rows.groups, by_gram):
+        if b:
+            continue
         # from an orthonormal basis per group of equal d
         dj = rows.d[[g.start for g in groups]]
         qs = [np.linalg.qr(U[g])[0] for g in groups]
@@ -408,6 +422,8 @@ def _t_pvalue(t: float, df: int) -> float:
                      + lg_ratio - 0.5 * math.log(math.pi))
     y = t2 / (df + t2)
     flip = (a + 2.5) * y <= 1.5  # x >= (a + 1) / (a + 2.5)
+    if front == 0.0:  # underflow: front * f / p below is 0 whatever f is
+        return 1.0 if flip else 0.0
     p, q, z = (0.5, a, y) if flip else (a, 0.5, df / (df + t2))
     # f = 1 / (B_0 + g_0 / (B_1 + g_1 / (B_2 + ...))), with c_k and e_k as below,
     # B_k = 1 - (c_k - e_k) z and g_k = c_k z^2 (k + 1)(q - k - 1) / ((s + 1)(s + 2)).
@@ -473,8 +489,8 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
     resid = y - U @ uy
     ssr, tss = float(resid @ resid), float(y @ y)
     # the constant of the fit on [1, A + m]: A's columns sum to zero
-    means = np.array([v.mean() for v in raw])
-    theta = np.r_[rows.values(spec.dependent).mean() - means @ theta, theta]
+    means = np.array([v.sum() for v in raw]) / n  # mean()'s bits, with less overhead
+    theta = np.concatenate(([rows.values(spec.dependent).sum() / n - means @ theta], theta))
 
     bandwidth = spec.dk_bandwidth
     if bandwidth == "auto":
@@ -522,8 +538,6 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
     pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])  # nan t at df = 0
     r2 = 1.0 - ssr / tss if tss > 0 else math.nan
-    residuals = np.full((rows._ds.n_entities, rows._ds.n_periods), np.nan)
-    residuals[rows._ei, rows._pj] = np.ldexp(resid, ey)
 
     return FitResult(
         param_names=names,
@@ -532,7 +546,7 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
         std_errors=se,
         t_stats=tstat,
         p_values=pvals,
-        residuals=residuals,
+        residuals=rows.grid(np.ldexp(resid, ey)),
         r_squared_within=r2,
         n_obs=n,
         n_entities=rows.n_ent,

@@ -63,7 +63,8 @@ class PanelDataset:
 
     columns maps variable name -> (n_entities, n_periods) float matrix with
     NaN for missing cells. Entity ids, non-empty strs with no surrounding
-    blanks, follow first appearance in the source; periods increase strictly.
+    blanks and no longer than the csv module's field limit, follow first
+    appearance in the source; periods increase strictly.
     """
 
     entities: tuple[str, ...]
@@ -76,6 +77,9 @@ class PanelDataset:
             if not isinstance(e, str) or not e or e != e.strip():
                 raise DataError(f"entities[{i}] must be a non-empty str without "
                                 f"surrounding whitespace, got {e!r}")
+            if len(e) > csv.field_size_limit():  # load_panel's reader refuses it
+                raise DataError(f"entities[{i}] is {len(e)} characters long, over the "
+                                f"csv field limit of {csv.field_size_limit()}")
         if len(set(self.entities)) != len(self.entities):
             raise DataError("entity ids must be unique")
         periods = tuple(integer(f"periods[{j}]", p) for j, p in enumerate(self.periods))

@@ -452,6 +452,60 @@ def small_panels(draw):
     return ds.with_column("y", y), spec
 
 
+@st.composite
+def keep_masks(draw):
+    """A keep mask over a small grid: balanced, or with cells, whole entities
+    and whole periods missing."""
+    n_ent, n_per = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return np.ones((n_ent, n_per), dtype=bool)
+    cells = draw(st.lists(st.booleans(), min_size=n_ent * n_per, max_size=n_ent * n_per))
+    keep = np.reshape(cells, (n_ent, n_per))
+    assume(keep.any())
+    return keep
+
+
+class TestRows:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(keep_masks(), st.booleans())
+    def test_row_order_is_an_explicit_sort_by_period_d_entity(self, keep, fixed_effects):
+        # _Rows sorts only when d varies; its rows must be those of a full sort
+        n_ent, n_per = keep.shape
+        ds = make_panel([f"E{i}" for i in range(n_ent)], range(n_per),
+                        x=np.arange(keep.size, dtype=float).reshape(keep.shape))
+        rows = estimation._Rows(ds, keep.copy(), (), fixed_effects)
+
+        ei, pj = np.nonzero(keep)
+        ent_code = np.unique(ei, return_inverse=True)[1]
+        per_code = np.unique(pj, return_inverse=True)[1]
+        group = ent_code if fixed_effects else np.zeros_like(ent_code)
+        counts = np.bincount(group)
+        d = 1.0 - 1.0 / counts[group] if fixed_effects else np.ones(ei.size)
+        order = np.lexsort((ei, d, per_code))
+        ei, pj, p, d, group = ei[order], pj[order], per_code[order], d[order], group[order]
+
+        cells = rows.grid(np.arange(rows.n, dtype=float))
+        np.testing.assert_array_equal(cells[ei, pj], np.arange(ei.size))
+        assert np.isnan(cells[~keep]).all()
+        np.testing.assert_array_equal(rows.values("x"), np.ldexp(ds.column("x")[ei, pj],
+                                                                 -rows.scale["x"]))
+        np.testing.assert_array_equal(rows.d, d)
+        np.testing.assert_array_equal(rows.group, group)
+        np.testing.assert_array_equal(rows.counts, counts)
+        assert (rows.n, rows.n_ent, rows.n_per) == (ei.size, ent_code.max() + 1, p.max() + 1)
+        groups, periods = [], []
+        for s in range(ei.size):
+            if s == 0 or p[s] != p[s - 1]:
+                groups.append([slice(s, s + 1)])
+                periods.append(slice(s, s + 1))
+            elif d[s] != d[s - 1]:
+                groups[-1].append(slice(s, s + 1))
+            groups[-1][-1] = slice(groups[-1][-1].start, s + 1)
+            periods[-1] = slice(periods[-1].start, s + 1)
+        assert rows.groups == groups
+        assert rows.periods == periods
+
+
 class TestSmallSampleCovariance:
     @pytest.mark.parametrize("bandwidth", [0, 1, "auto"])
     @pytest.mark.parametrize("fixed_effects", [True, False])
@@ -644,6 +698,19 @@ class TestTPValue:
             assert math.isnan(estimation._t_pvalue(math.nan, df))
             assert estimation._t_pvalue(0.0, df) == 1.0
             assert estimation._t_pvalue(-0.0, df) == 1.0
+
+    def test_underflowed_prefactor(self):
+        # The prefactor x^a y^(1/2) / B(a, 1/2) underflows to 0 at |t| = 120,
+        # df = 3998, where the p-value is below the smallest double too, and at
+        # the subnormal |t| = 5e-324 on the flipped form, where the p-value
+        # rounds to 1. At |t| = 1e6, df = 5 it does not, and p is about 2e-29.
+        for t, df in ((120.0, 3998), (1e6, 5)):
+            for signed in (t, -t):
+                assert estimation._t_pvalue(signed, df) == pytest.approx(
+                    t_pvalue_oracle(t, df), rel=1e-12, abs=0), (df, signed)
+        for df in (1, 5, 3998):
+            assert estimation._t_pvalue(5e-324, df) == 1.0
+            assert estimation._t_pvalue(-5e-324, df) == 1.0
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 10**6),

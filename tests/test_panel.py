@@ -284,6 +284,16 @@ class TestDatasetInvariants:
         write_panel(ds, tmp_path / "p.csv")
         assert_same_panel(load_panel(tmp_path / "p.csv", []), ds)
 
+    def test_entity_id_at_the_csv_field_limit_round_trips(self, tmp_path):
+        limit = csv.field_size_limit()
+        ds = PanelDataset(("A" * limit, "B"), (2010, 2011), {"x": np.ones((2, 2))})
+        write_panel(ds, tmp_path / "p.csv")
+        assert_same_panel(load_panel(tmp_path / "p.csv", []), ds)
+        with pytest.raises(DataError) as info:
+            PanelDataset(("B", "A" * (limit + 1)), (2010, 2011), {"x": np.ones((2, 2))})
+        assert str(info.value) == (f"entities[1] is {limit + 1} characters long, "
+                                   f"over the csv field limit of {limit}")
+
     def test_nonincreasing_periods_rejected(self):
         with pytest.raises(DataError):
             make_panel(["A"], [2, 1], x=[[1.0, 2.0]])
