@@ -2,6 +2,7 @@
 and of JSON input files (schemas, weights, coefficient sets).
 
 One pass per file; the first fault raises a DataError naming the file.
+Both readers skip a leading UTF-8 byte-order mark, as Excel writes one.
 Standard library only, so that `ratios` imports without numpy.
 """
 
@@ -19,7 +20,7 @@ def read_json(path: str, what: str):
     """The parsed contents of JSON file `path`. A file that cannot be opened,
     is not UTF-8 or is not JSON raises `cannot read <what> file <path>: ...`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
@@ -44,7 +45,7 @@ def read_bank_years(
     the row's path:line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     reader = csv.reader(fh)

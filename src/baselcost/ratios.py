@@ -33,6 +33,17 @@ def _float_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
+def _check_amounts(record) -> None:
+    """A bank-year record's `__post_init__`: every float field is a finite,
+    non-negative amount, or a DataError states the class's `_amount_rule`."""
+    for name in _float_fields(type(record)):
+        v = getattr(record, name)
+        # one comparison: false for negatives, infinities and NaN alike
+        if not 0.0 <= v < math.inf:
+            raise DataError(
+                f"{record.entity} {record.year}: {record._amount_rule.format(name)}, got {v!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class BalanceSheetSnapshot:
     """Per-bank-year balance-sheet components, all non-negative, one currency.
@@ -56,15 +67,8 @@ class BalanceSheetSnapshot:
     goodwill: float = 0.0
     rwa: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in _float_fields(type(self)):
-            v = getattr(self, name)
-            # one comparison: false for negatives, infinities and NaN alike
-            if not 0.0 <= v < math.inf:
-                raise DataError(
-                    f"{self.entity} {self.year}: component {name} must be a "
-                    f"non-negative finite amount, got {v!r}"
-                )
+    _amount_rule = "component {} must be a non-negative finite amount"
+    __post_init__ = _check_amounts
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,14 +215,8 @@ class CapitalPosition:
     lcr: float
     nsfr: float
 
-    def __post_init__(self) -> None:
-        for name in _float_fields(type(self)):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:
-                raise DataError(
-                    f"{self.entity} {self.year}: {name} must be non-negative and "
-                    f"finite, got {v!r}"
-                )
+    _amount_rule = "{} must be non-negative and finite"
+    __post_init__ = _check_amounts
 
 
 @dataclass(frozen=True, slots=True)

@@ -719,3 +719,30 @@ class TestJsonInputs:
                      "--schema", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured == ("", f"error: malformed schema entry in {p}: {entry!r}\n")
+
+
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" files start with the UTF-8 byte-order mark
+    EF BB BF; every input file reads as if the mark were not there."""
+
+    DATA = ROOT / "data"
+
+    @pytest.mark.parametrize("argv, content", [
+        (["fit", "--model", "all", "--format", "json", "--panel"],
+         (DATA / "synthetic_panel.csv").read_bytes()),
+        (["ratios", "--format", "json", "--balance-sheets"],
+         (DATA / "balance_sheets.csv").read_bytes()),
+        (["phasein", "--format", "json", "--positions"], (DATA / "positions.csv").read_bytes()),
+        (["unitroot", "--panel", BUNDLED_PANEL, "--vars", "liq,cap", "--schema"],
+         (DATA / "panel_schema.json").read_bytes()),
+        (["ratios", "--balance-sheets", str(DATA / "balance_sheets.csv"), "--weights"],
+         b'{"asf": {"stable_deposits": 0.9}, "rsf": {"govt_debt": 0.1}}'),
+        (["simulate", "--dcap", "1", "--coeffs"], json.dumps(PAPER_PRESET.to_dict()).encode()),
+    ], ids=["panel", "balance_sheets", "positions", "schema", "weights", "coefficients"])
+    def test_marked_file_gives_the_plain_output(self, tmp_path, argv, content, capsys):
+        path, outputs = tmp_path / "input", []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + content)
+            assert main([*argv, str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]

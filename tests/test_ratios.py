@@ -137,10 +137,20 @@ class TestRecordValidation:
 
     @pytest.mark.parametrize("value", REJECTED)
     def test_rejected(self, value):
-        with pytest.raises(DataError, match="rwa must be a non-negative"):
-            BalanceSheetSnapshot("B", 2014, rwa=value)
-        with pytest.raises(DataError, match="nsfr must be non-negative"):
-            CapitalPosition("B", 2014, 0.0, 0.0, 0.0, 0.0, 0.0, value)
+        """Every amount of both records, each with its record's exact message."""
+        sheet = [f.name for f in dataclasses.fields(BalanceSheetSnapshot)][2:]
+        position = [f.name for f in dataclasses.fields(CapitalPosition)][2:]
+        assert (len(sheet), len(position)) == (12, 6)
+        for name in sheet:
+            with pytest.raises(DataError) as info:
+                BalanceSheetSnapshot("B", 2014, **{name: value})
+            assert str(info.value) == (
+                f"B 2014: component {name} must be a non-negative finite amount, got {value!r}")
+        for name in position:
+            with pytest.raises(DataError) as info:
+                CapitalPosition("B", 2014, **{n: value if n == name else 0.0 for n in position})
+            assert str(info.value) == (
+                f"B 2014: {name} must be non-negative and finite, got {value!r}")
 
     def test_position_message_asks_for_a_finite_value(self):
         with pytest.raises(DataError) as info:
