@@ -9,16 +9,17 @@ Five subcommands tie the toolkit together:
     simulate  shock scenarios, schedule series, synthetic panel generation
 
 Exit codes are a stable contract: 0 success, 2 input or configuration
-error (an output file that cannot be written, or a closed stdout,
-included), 3 estimation error. Output formats: aligned text (default), json
-(full precision, deterministic byte-for-byte for identical invocations),
-or csv where a flat table makes sense. No environment variables are read;
-flags only, for reproducibility.
+error or a failed write (missing directory, closed pipe, full disk, I/O
+error; named as stdout or the path), 3 estimation error. Output formats:
+aligned text (default), json (full precision, the same bytes for identical
+invocations at a fixed BLAS thread count), or csv where a flat table makes
+sense. No environment variables are read; flags only, for reproducibility.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -30,9 +31,22 @@ from .errors import DataError, EstimationError
 from .model import EQUATIONS, SYSTEM_COLUMNS
 
 
+@contextlib.contextmanager
+def _writing(target: str):
+    """Turn a failed write to `target`, a path or "stdout", into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        if target == "stdout":
+            # fd 1 to devnull: the interpreter's final flush then stays silent
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DataError(f"cannot write {target}: {exc.strerror}") from None
+
+
 def _render(args, payload, text: str, table=None) -> int:
-    """Write `payload` as JSON, `text`, or `table` (headers, rows) as CSV, as
-    --format asks, to --out or stdout."""
+    """Write `payload` as JSON, `text`, or `table` (headers, rows) as CSV to --out or stdout."""
     if args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True)
     elif args.format == "text":
@@ -46,10 +60,11 @@ def _render(args, payload, text: str, table=None) -> int:
     else:
         raise DataError("this output has no flat table; use --format text or json")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body if body.endswith("\n") else body + "\n")
     else:
-        print(body, flush=True)
+        with _writing("stdout"):
+            print(body, flush=True)
     return 0
 
 
@@ -210,7 +225,8 @@ def cmd_fit(args) -> int:
     if args.model == "all":
         system = fit_system(ds, small_sample=small_sample, **_resolve_lags(args.dk_lags))
         if args.coeffs_out:
-            system.coefficients.to_json(args.coeffs_out)
+            with _writing(args.coeffs_out):
+                system.coefficients.to_json(args.coeffs_out)
         fits = {eq: fit for (eq, _), fit in zip(EQUATIONS, system.fits)}
         payload = {
             "coefficients": system.coefficients.to_dict(),
@@ -274,8 +290,11 @@ def cmd_simulate(args) -> int:
             raise DataError("--make-panel needs --out PATH for the generated CSV")
         coeffs = resolve_coefficients(args.coeffs)
         ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
-        write_panel(ds, args.out)
-        print(f"wrote {ds.n_entities}x{ds.n_periods} synthetic panel to {args.out}")
+        with _writing(args.out):
+            write_panel(ds, args.out)
+        with _writing("stdout"):
+            print(f"wrote {ds.n_entities}x{ds.n_periods} synthetic panel to {args.out}",
+                  flush=True)
         return 0
 
     coeffs = resolve_coefficients(args.coeffs)
@@ -409,20 +428,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # The reader of stdout is gone. Point fd 1 at devnull so that the
-        # interpreter's final flush of what is left buffered stays silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: cannot write stdout: Broken pipe", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # Input reads raise DataError, so an OSError naming a file is a write.
-        if exc.filename is None:
-            raise
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ BS_HEADER = (
 WORKED_ROW = "B01,2014,100,50,0,200,100,100,300,100,100,10,5,850"
 ROOT = Path(__file__).resolve().parent.parent
 BUNDLED_PANEL = str(ROOT / "data" / "synthetic_panel.csv")
+FULL = "error: cannot write {}: No space left on device\n"  # a write to /dev/full
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 @pytest.fixture
@@ -192,6 +195,10 @@ class TestUnitroot:
     def test_unknown_variable_exits_2(self, panel_csv, capsys):
         assert main(["unitroot", "--panel", panel_csv, "--vars", "bogus"]) == 2
 
+    def test_no_variables_exits_2(self, panel_csv, capsys):
+        assert main(["unitroot", "--panel", panel_csv, "--vars", ",,"]) == 2
+        assert capsys.readouterr() == ("", "error: no variables requested; pass --vars a,b,c\n")
+
     def test_unbalanced_exits_2(self, tmp_path, capsys):
         p = tmp_path / "holes.csv"
         p.write_text(
@@ -236,6 +243,11 @@ class TestFit:
                      "--dk-lags", "2"]) == 0
         out = capsys.readouterr().out
         assert "dk_lags=2" in out
+
+    def test_non_integer_lags_exit_2(self, panel_csv, capsys):
+        assert main(["fit", "--panel", panel_csv, "--model", "spread", "--dk-lags", "x"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --dk-lags must be 'auto' or an integer, got 'x'\n")
 
     def test_fit_all_writes_coefficients(self, panel_csv, tmp_path, capsys):
         coeffs_path = tmp_path / "fitted.json"
@@ -453,6 +465,38 @@ class TestOutputWriteErrors:
             os.close(write_end)
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["phasein", "--format", "json", "--out"],
+        ["fit", "--panel", BUNDLED_PANEL, "--model", "all", "--coeffs-out"],
+        ["simulate", "--make-panel", "--out"],
+    ], ids=["out", "coeffs-out", "make-panel-out"])
+    def test_full_disk(self, argv, capsys):
+        assert main([*argv, "/dev/full"]) == 2
+        assert capsys.readouterr() == ("", FULL.format("/dev/full"))
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [
+        ["phasein", "--format", "json"],
+        ["simulate", "--make-panel", "--banks", "4", "--years", "4", "--out", "panel.csv"],
+    ], ids=["phasein", "make-panel-note"])
+    def test_full_stdout(self, argv, tmp_path):
+        # In a subprocess: the guard points fd 1 at devnull, which in-process
+        # would redirect pytest's own output. Block-buffered stdout, as by default.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        full = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "baselcost.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  cwd=tmp_path, timeout=300,
+                                  env={**env, "PYTHONPATH": str(ROOT / "src")})
+        finally:
+            os.close(full)
+        assert proc.returncode == 2
+        assert proc.stderr == FULL.format("stdout")
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 class TestRefusedFlags:
@@ -706,6 +750,18 @@ class TestJsonInputs:
         assert main(["ratios", "--balance-sheets", str(ROOT / "data" / "balance_sheets.csv"),
                      "--weights", str(p)]) == 2
         assert capsys.readouterr() == ("", f"error: malformed weights file {p}: {fault}\n")
+
+    @pytest.mark.parametrize("text, fault", [
+        ("[]", "malformed weights file {}: expected a JSON object"),
+        ('{"xsf": {}}', "weights file {}: unknown group 'xsf'"),
+        ('{"asf": 1}', "weights file {}: asf must be a JSON object"),
+    ], ids=["list", "unknown-group", "group-not-object"])
+    def test_weights_file_shape_exits_2(self, tmp_path, text, fault, capsys):
+        p = tmp_path / "w.json"
+        p.write_text(text)
+        assert main(["ratios", "--balance-sheets", str(ROOT / "data" / "balance_sheets.csv"),
+                     "--weights", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: {fault.format(p)}\n")
 
     @pytest.mark.parametrize("entry", [
         {"name": "lending", "transfrom": "log"},

@@ -115,6 +115,11 @@ class TestSurface:
             baselcost.nope
         assert not hasattr(baselcost, "cli_main")
 
+    def test_unknown_name_message(self):
+        with pytest.raises(AttributeError) as info:
+            baselcost.no_such_name
+        assert str(info.value) == "module 'baselcost' has no attribute 'no_such_name'"
+
     def test_submodule_resolves_after_bare_import(self):
         out = _python("import sys, baselcost\n"
                       "print('baselcost.model' in sys.modules, "

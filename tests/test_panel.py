@@ -193,6 +193,10 @@ class TestSchemaFile:
         with pytest.raises(DataError):
             load_schema(str(p))
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(DataError, match="^variable name must be non-empty$"):
+            VariableSpec(name="")
+
     def test_unknown_transform_rejected(self):
         with pytest.raises(DataError, match="sqrt"):
             VariableSpec("roe", transform="sqrt")

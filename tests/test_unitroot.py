@@ -79,6 +79,18 @@ class TestContracts:
         with pytest.raises(DataError, match="3 periods"):
             ht_statistic(np.ones((5, 2)))
 
+    def test_levels_not_a_matrix(self):
+        with pytest.raises(DataError,
+                           match=r"^levels must be a 2-d \(entities x periods\) array$"):
+            ht_statistic(np.ones(5))
+
+    def test_missing_level(self):
+        levels = np.ones((4, 5))
+        levels[2, 3] = np.nan
+        with pytest.raises(DataError,
+                           match="^levels contain missing values; balance the panel first$"):
+            ht_statistic(levels)
+
     def test_too_few_entities(self):
         with pytest.raises(DataError, match="2 entities"):
             ht_statistic(np.random.default_rng(0).normal(0, 1, (1, 5)))
