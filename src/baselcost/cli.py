@@ -32,17 +32,18 @@ from .model import EQUATIONS, SYSTEM_COLUMNS
 
 
 @contextlib.contextmanager
-def _writing(target: str):
-    """Turn a failed write to `target`, a path or "stdout", into a DataError."""
+def _writing(path: str | None):
+    """Turn a failed write to file `path`, or to stdout for None, into a DataError."""
     try:
         yield
     except OSError as exc:
-        if target == "stdout":
+        if path is None:
+            path = "stdout"
             # fd 1 to devnull: the interpreter's final flush then stays silent
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise DataError(f"cannot write {target}: {exc.strerror}") from None
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _render(args, payload, text: str, table=None) -> int:
@@ -63,7 +64,7 @@ def _render(args, payload, text: str, table=None) -> int:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body if body.endswith("\n") else body + "\n")
     else:
-        with _writing("stdout"):
+        with _writing(None):
             print(body, flush=True)
     return 0
 
@@ -292,7 +293,7 @@ def cmd_simulate(args) -> int:
         ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
         with _writing(args.out):
             write_panel(ds, args.out)
-        with _writing("stdout"):
+        with _writing(None):
             print(f"wrote {ds.n_entities}x{ds.n_periods} synthetic panel to {args.out}",
                   flush=True)
         return 0

@@ -121,14 +121,12 @@ class RegressionSpec:
 
 @dataclass(frozen=True, slots=True)
 class FitResult:
-    """Estimates, covariance, and diagnostics for one regression."""
+    """Estimates, covariance, and diagnostics for one regression. std_errors,
+    t_stats and p_values are computed from them on each access."""
 
     param_names: tuple[str, ...]
     coefficients: np.ndarray
     covariance: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
     residuals: np.ndarray  # on the dataset's entities x periods, NaN where no row
     r_squared_within: float
     n_obs: int
@@ -138,6 +136,20 @@ class FitResult:
     bandwidth_used: int
     small_sample: bool
     dropped_entities: tuple[str, ...] = field(default=())
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))  # nan stays nan
+
+    @property
+    def t_stats(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.coefficients / self.std_errors  # +-inf for zero SEs, nan if undefined
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """Two-sided, against Student's t on df_resid (nan at df_resid = 0)."""
+        return np.array([_t_pvalue(t, self.df_resid) for t in self.t_stats.tolist()])
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.param_names.index(name)])
@@ -532,22 +544,12 @@ def _fit_core(rows: _Rows, spec: RegressionSpec) -> FitResult:
             n_zeroed, "" if n_zeroed == 1 else "s", PINV_RTOL,
         )
 
-    with np.errstate(invalid="ignore"):
-        se = np.sqrt(np.clip(var, 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = theta / se  # +-inf for exact zero SEs, nan when undefined
-    pvals = np.array([_t_pvalue(t, df) for t in tstat.tolist()])  # nan t at df = 0
-    r2 = 1.0 - ssr / tss if tss > 0 else math.nan
-
     return FitResult(
         param_names=names,
         coefficients=theta,
         covariance=cov,
-        std_errors=se,
-        t_stats=tstat,
-        p_values=pvals,
         residuals=rows.grid(np.ldexp(resid, ey)),
-        r_squared_within=r2,
+        r_squared_within=1.0 - ssr / tss if tss > 0 else math.nan,
         n_obs=n,
         n_entities=rows.n_ent,
         n_periods_used=n_per,

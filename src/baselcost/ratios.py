@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 
 from ._bankyear import read_bank_years, read_json
 from ._checks import integer, json_number, real
@@ -33,15 +35,31 @@ def _float_fields(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
-def _check_amounts(record) -> None:
-    """A bank-year record's `__post_init__`: every float field is a finite,
+def _check_record(record) -> None:
+    """A bank-year record's `__post_init__`. The entity must be a non-empty str
+    without surrounding whitespace and the year an int (a numpy int is stored
+    as one); each float field must be a number, not a bool, and a finite,
     non-negative amount, or a DataError states the class's `_amount_rule`."""
+    entity, year = record.entity, record.year
+    if not isinstance(entity, str) or not entity or entity != entity.strip():
+        raise DataError(
+            f"entity must be a non-empty str without surrounding whitespace, got {entity!r}")
+    if type(year) is not int:
+        year = integer(f"{entity}: year", year)
+        object.__setattr__(record, "year", year)
+    # One test per amount first: a float, and one comparison that is false for
+    # negatives, infinities and NaN alike. Only on a doubt are the fields named.
+    for v in record._amounts(record):
+        if type(v) is not float or not 0.0 <= v < math.inf:
+            break
+    else:
+        return
     for name in _float_fields(type(record)):
         v = getattr(record, name)
-        # one comparison: false for negatives, infinities and NaN alike
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise DataError(f"{entity} {year}: {name} must be a number, got {v!r}")
         if not 0.0 <= v < math.inf:
-            raise DataError(
-                f"{record.entity} {record.year}: {record._amount_rule.format(name)}, got {v!r}")
+            raise DataError(f"{entity} {year}: {record._amount_rule.format(name)}, got {v!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +86,10 @@ class BalanceSheetSnapshot:
     rwa: float = 0.0
 
     _amount_rule = "component {} must be a non-negative finite amount"
-    __post_init__ = _check_amounts
+    __post_init__ = _check_record
+
+
+BalanceSheetSnapshot._amounts = attrgetter(*_float_fields(BalanceSheetSnapshot))
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +237,10 @@ class CapitalPosition:
     nsfr: float
 
     _amount_rule = "{} must be non-negative and finite"
-    __post_init__ = _check_amounts
+    __post_init__ = _check_record
+
+
+CapitalPosition._amounts = attrgetter(*_float_fields(CapitalPosition))
 
 
 @dataclass(frozen=True, slots=True)

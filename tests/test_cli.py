@@ -466,6 +466,20 @@ class TestOutputWriteErrors:
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
 
+    def test_out_file_named_stdout(self, tmp_path):
+        # --out names a directory called "stdout": the failed write is to that
+        # path, so the process's own stdout must stay usable afterwards
+        (tmp_path / "stdout").mkdir()
+        script = ("import sys; from baselcost.cli import main; "
+                  "code = main(['phasein', '--format', 'json', '--out', 'stdout']); "
+                  "print('marker'); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=tmp_path, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: Is a directory\n"
+        assert proc.stdout == "marker\n"
+
     @needs_dev_full
     @pytest.mark.parametrize("argv", [
         ["phasein", "--format", "json", "--out"],

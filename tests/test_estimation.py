@@ -8,6 +8,7 @@ The oracles live here in the test module and share no code with the
 implementation.
 """
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -26,6 +27,7 @@ from baselcost import (
     EstimationError,
     PanelDataset,
     RegressionSpec,
+    fit_system,
     fit_within_dk,
     newey_west_auto_bandwidth,
     simulate_panel,
@@ -426,6 +428,52 @@ class TestCovariance:
         ds = random_panel(rng, n_ent=5, n_per=10, n_reg=1)
         fit = fit_within_dk(ds, RegressionSpec("y", ("x0",), dk_bandwidth=2))
         assert fit.bandwidth_used == 2
+
+
+class TestCompactFitResult:
+    """Standard errors, t-statistics and p-values are read from the stored
+    coefficients, covariance and df_resid on each access, never stored."""
+
+    FIELDS = ("param_names", "coefficients", "covariance", "residuals", "r_squared_within",
+              "n_obs", "n_entities", "n_periods_used", "df_resid", "bandwidth_used",
+              "small_sample", "dropped_entities")
+
+    @pytest.fixture(scope="class")
+    def fit(self):
+        ds = random_panel(np.random.default_rng(33), n_ent=6, n_per=5, n_reg=2)
+        return fit_within_dk(ds, RegressionSpec("y", ("x0", "x1")))
+
+    def test_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(estimation.FitResult)) == self.FIELDS
+
+    def test_p_values_computed_only_when_read(self, monkeypatch):
+        calls = []
+        t_pvalue = estimation._t_pvalue
+        monkeypatch.setattr(estimation, "_t_pvalue",
+                            lambda t, df: calls.append(t) or t_pvalue(t, df))
+        fits = fit_system(simulate_panel(PAPER_PRESET, 22, 5, 0.05, 7)).fits
+        assert len(calls) == 0
+        for fit in fits:
+            fit.p_values
+        assert len(calls) == 10
+
+    def test_properties_follow_the_covariance(self, fit):
+        se = np.sqrt(np.clip(np.diag(fit.covariance), 0.0, None))
+        assert np.array_equal(fit.std_errors, se)
+        assert np.array_equal(fit.t_stats, fit.coefficients / se)
+        want = [estimation._t_pvalue(t, fit.df_resid) for t in (fit.coefficients / se).tolist()]
+        assert np.array_equal(fit.p_values, np.array(want))
+
+    def test_read_only(self, fit):
+        # TypeError, not AttributeError, on Python 3.11 (see README "Result objects")
+        for name in ("std_errors", "t_stats", "p_values"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(fit, name, np.zeros(3))
+
+    def test_asdict_carries_only_fields(self, fit):
+        d = dataclasses.asdict(fit)
+        assert tuple(d) == self.FIELDS
+        assert "std_errors" not in d
 
 
 def estimation_warnings(caplog):

@@ -1,9 +1,12 @@
 """Regulatory ratio tests: NSFR, TCE/RWA, schedule fidelity, compliance, CSV ingest."""
 
 import dataclasses
+import json
 import logging
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +159,49 @@ class TestRecordValidation:
         with pytest.raises(DataError) as info:
             CapitalPosition("B", 2014, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert str(info.value) == "B 2014: cet1_ratio_pct must be non-negative and finite, got inf"
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "5", None, 1j, Decimal("1")],
+                             ids=repr)
+    def test_amount_of_a_wrong_kind(self, value):
+        """A bool, or anything that is not a real number, for every amount of both records."""
+        sheet = [f.name for f in dataclasses.fields(BalanceSheetSnapshot)][2:]
+        position = [f.name for f in dataclasses.fields(CapitalPosition)][2:]
+        for cls, names in ((BalanceSheetSnapshot, sheet), (CapitalPosition, position)):
+            for name in names:
+                with pytest.raises(DataError) as info:
+                    cls("B", 2014, **{n: value if n == name else 0.0 for n in names})
+                assert str(info.value) == f"B 2014: {name} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.float64(2.5), np.int64(3),
+                                       Fraction(1, 2), 7])
+    def test_real_amounts_accepted(self, value):
+        assert BalanceSheetSnapshot("B", 2014, rwa=value).rwa == value
+        assert CapitalPosition("B", 2014, value, 0.0, 0.0, 0.0, 0.0, 0.0).cet1_ratio_pct == value
+
+    @pytest.mark.parametrize("year", ["2016", 2016.0, True, np.True_, None])
+    def test_year_must_be_an_int(self, year):
+        for make in (lambda: BalanceSheetSnapshot("B", year),
+                     lambda: CapitalPosition("B", year, 6.0, 7.0, 11.0, 3.5, 1.1, 1.05)):
+            with pytest.raises(DataError) as info:
+                make()
+            assert str(info.value) == f"B: year must be an integer, got {year!r}"
+
+    def test_numpy_year_stored_as_int(self):
+        pos = CapitalPosition("B", np.int64(2016), 6.0, 7.0, 11.0, 3.5, 1.1, 1.05)
+        assert type(pos.year) is int
+        assert type(BalanceSheetSnapshot("B", np.int32(2016)).year) is int
+        report = check_compliance(pos)
+        assert not report.steady_state and report.requirements.year == 2016
+        assert json.loads(json.dumps(report.to_dict()))["year"] == 2016
+
+    @pytest.mark.parametrize("entity", ["", " B", "B\t", 3, None, b"B"], ids=repr)
+    def test_entity_must_be_a_clean_str(self, entity):
+        for make in (lambda: BalanceSheetSnapshot(entity, 2014),
+                     lambda: CapitalPosition(entity, 2014, 6.0, 7.0, 11.0, 3.5, 1.1, 1.05)):
+            with pytest.raises(DataError) as info:
+                make()
+            assert str(info.value) == ("entity must be a non-empty str without surrounding "
+                                       f"whitespace, got {entity!r}")
 
 
 class TestTceRwa:
