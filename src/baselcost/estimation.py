@@ -63,7 +63,7 @@ import numpy as np
 
 from ._checks import flag, integer
 from .errors import DataError, EstimationError
-from .panel import PanelDataset, entity_demean
+from .panel import PanelDataset, entity_demean, pow2_normalise
 
 log = logging.getLogger(__name__)
 
@@ -278,13 +278,10 @@ class _Rows:
         self.scale: dict[str, int] = {}
 
     def values(self, name: str) -> np.ndarray:
-        """Column `name` at the rows over 2**scale[name], the power of two that
-        puts its largest magnitude in [1/2, 1). Exact in the normal range, and
-        no sum or product of the fit can overflow."""
+        """Column `name` at the rows over 2**scale[name], from `pow2_normalise`."""
         if name not in self._values:
             v = self._ds.column(name).ravel().take(self._flat)
-            self.scale[name] = math.frexp(float(np.abs(v).max()))[1]
-            self._values[name] = np.ldexp(v, -self.scale[name])
+            self._values[name], self.scale[name] = pow2_normalise(v)
         return self._values[name]
 
     def grid(self, v: np.ndarray) -> np.ndarray:

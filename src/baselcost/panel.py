@@ -11,8 +11,8 @@ Input format is wide CSV, one row per (bank_id, year):
     B01,2010,12.5,1.02,0.091
     B01,2011,,1.05,0.094      <- empty cell = missing
 
-Variable transforms (logs) and entity demeaning are provided as pure
-functions.
+Variable transforms (logs), entity demeaning and `pow2_normalise`, the one
+float-range rule of both estimators, are provided as pure functions.
 """
 
 from __future__ import annotations
@@ -238,3 +238,10 @@ def entity_demean(values: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> 
     """
     sums = np.bincount(codes, weights=values, minlength=counts.size)
     return values - (sums / counts)[codes]
+
+
+def pow2_normalise(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2**e, e) for the power of two that puts v's largest magnitude in [1/2, 1).
+    Exact in the normal range, so no sum or product of the result can overflow."""
+    e = math.frexp(float(np.abs(v).max()))[1]
+    return np.ldexp(v, -e), e

@@ -146,24 +146,28 @@ def compute_nsfr(bs: BalanceSheetSnapshot, w: NsfrWeights = DEFAULT_WEIGHTS) -> 
     """Net stable funding ratio ASF/RSF for one balance sheet.
 
     Raises DataError when required stable funding is zero (a bank with no
-    funded assets has no defined NSFR).
+    funded assets has no defined NSFR) or a double cannot hold the ratio.
     """
-    asf = (
-        w.asf_ge_1y * (bs.common_equity + bs.debt_ge_1y + bs.other_liabilities_ge_1y)
-        + w.asf_stable_deposits * bs.stable_deposits_lt_1y
-        + w.asf_less_stable_deposits * bs.less_stable_deposits_lt_1y
-    )
-    rsf = (
-        w.rsf_govt_debt * bs.govt_debt
-        + w.rsf_corp_loans * bs.corp_loans_lt_1y
-        + w.rsf_retail_loans * bs.retail_loans_lt_1y
-        + w.rsf_other_assets * bs.other_assets_ex_cash_interbank
-    )
-    if rsf <= 0.0:
-        raise DataError(
-            f"{bs.entity} {bs.year}: undefined NSFR, required stable funding is zero"
+    try:
+        asf = (
+            w.asf_ge_1y * (bs.common_equity + bs.debt_ge_1y + bs.other_liabilities_ge_1y)
+            + w.asf_stable_deposits * bs.stable_deposits_lt_1y
+            + w.asf_less_stable_deposits * bs.less_stable_deposits_lt_1y
         )
-    return asf / rsf
+        rsf = (
+            w.rsf_govt_debt * bs.govt_debt
+            + w.rsf_corp_loans * bs.corp_loans_lt_1y
+            + w.rsf_retail_loans * bs.retail_loans_lt_1y
+            + w.rsf_other_assets * bs.other_assets_ex_cash_interbank
+        )
+    except OverflowError:  # an int amount beyond a double
+        asf = rsf = math.inf
+    if rsf <= 0.0:
+        raise DataError(f"{bs.entity} {bs.year}: undefined NSFR, required stable funding is zero")
+    nsfr = asf / rsf
+    if rsf == math.inf or not math.isfinite(nsfr):  # an inf rsf would read 0 or nan
+        raise DataError(f"{bs.entity} {bs.year}: NSFR is outside the range of a double")
+    return nsfr
 
 
 def compute_tce_rwa(bs: BalanceSheetSnapshot) -> float:
@@ -171,16 +175,23 @@ def compute_tce_rwa(bs: BalanceSheetSnapshot) -> float:
 
     Negative tangible equity (intangibles plus goodwill exceeding common
     equity) is reported with its sign, not clamped, and each such call logs
-    one warning on the `baselcost.ratios` logger.
+    one warning on the `baselcost.ratios` logger. A ratio that a double
+    cannot hold raises DataError.
     """
     if bs.rwa <= 0.0:
         raise DataError(f"{bs.entity} {bs.year}: TCE/RWA needs rwa > 0, got {bs.rwa}")
-    tce = bs.common_equity - bs.intangibles - bs.goodwill
+    try:
+        tce = bs.common_equity - bs.intangibles - bs.goodwill
+        ratio = tce / bs.rwa
+    except OverflowError:  # an int amount beyond a double
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise DataError(f"{bs.entity} {bs.year}: TCE/RWA is outside the range of a double")
     if tce < 0:
         import logging  # here, so that the ratio and scenario commands load no logging
         logging.getLogger(__name__).warning(
             "%s %s: tangible common equity is negative (%r)", bs.entity, bs.year, tce)
-    return tce / bs.rwa
+    return ratio
 
 
 # -- phase-in schedule -------------------------------------------------------
@@ -276,24 +287,31 @@ class ComplianceReport:
         Shortfalls are in the requirement's own units, floored at zero, and
         comparisons are inclusive: meeting the floor exactly passes. The NSFR
         requirement only binds from September of the schedule's first year,
-        so in that year it is advisory.
+        so in that year it is advisory. A level a double cannot hold raises DataError.
         """
         req, pos = self.requirements, self.position
         nsfr_note = "applies from September" if req.nsfr_from_september else ""
-        table = (  # name, required, actual, advisory, note
-            ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
-            ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
-            ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
-            ("total", req.min_total_pct, pos.total_car_pct, False, ""),
-            ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
-            ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
-            ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
-            ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
-        )
+        try:  # an int amount beyond a double does not convert to float
+            table = (  # name, required, actual, advisory, note
+                ("cet1", req.min_cet1_pct, pos.cet1_ratio_pct, False, ""),
+                ("cet1_plus_buffer", req.cet1_plus_buffer_pct, pos.cet1_ratio_pct, False, ""),
+                ("tier1", req.min_tier1_pct, pos.tier1_ratio_pct, False, ""),
+                ("total", req.min_total_pct, pos.total_car_pct, False, ""),
+                ("total_plus_buffer", req.total_plus_buffer_pct, pos.total_car_pct, False, ""),
+                ("leverage", req.leverage_min_pct, pos.leverage_pct, False, req.leverage_note),
+                ("lcr", req.lcr_min_pct, pos.lcr * 100.0, False, ""),
+                ("nsfr", req.nsfr_min, pos.nsfr, req.nsfr_from_september, nsfr_note),
+            )
+            gaps = [required - actual for _, required, actual, _, _ in table]
+        except OverflowError:
+            gaps = [-math.inf]
+        if -math.inf in gaps:  # a gap of -inf: the lcr percentage overflowed
+            raise DataError(
+                f"{pos.entity} {pos.year}: a compliance check is outside the range of a double")
         return tuple([
-            RequirementCheck(name, required, actual, max(0.0, required - actual),
-                             actual >= required, advisory, note)
-            for name, required, actual, advisory, note in table
+            RequirementCheck(name, required, actual, max(0.0, gap), actual >= required,
+                             advisory, note)
+            for (name, required, actual, advisory, note), gap in zip(table, gaps)
         ])
 
     @property

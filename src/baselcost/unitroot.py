@@ -19,7 +19,8 @@ Under the null z is asymptotically standard normal; small left-tail
 p-values reject the unit root in favour of stationarity. Evaluating the
 moments on the transition count is what makes the statistic correctly
 centred: the plim of the demeaned-window estimator under a random walk is
-1 - 3/(m + 1), which is straightforward to verify by simulation.
+1 - 3/(m + 1), which is straightforward to verify by simulation. Levels pass
+through `panel.pow2_normalise` first, so rescaling them by 2**k moves no bit.
 
 Reference: Harris, R. D. F. and Tzavalis, E. (1999), "Inference for unit
 roots in dynamic panels where the time dimension is fixed", Journal of
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError
-from .panel import PanelDataset
+from .panel import PanelDataset, pow2_normalise
 
 CASE_LABEL = "panel-specific means"
 
@@ -80,8 +81,10 @@ def ht_statistic(levels: np.ndarray) -> tuple[float, float, float]:
         raise DataError(f"need at least 3 periods, got {n_per}")
     if n_ent < 2:
         raise DataError(f"need at least 2 entities, got {n_ent}")
-    if np.any(np.isnan(levels)):
-        raise DataError("levels contain missing values; balance the panel first")
+    if not np.isfinite(levels).all():
+        raise DataError("levels contain missing values; balance the panel first"
+                        if np.isnan(levels).any() else "levels contain infinite values")
+    levels = pow2_normalise(levels)[0]
 
     dep = levels[:, 1:]
     reg = levels[:, :-1]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baselcost import PAPER_PRESET, PanelDataset, simulate_panel, write_panel
+from baselcost import PAPER_PRESET, PanelDataset, load_panel, simulate_panel, write_panel
 from baselcost.cli import main
 
 BS_HEADER = (
@@ -225,6 +225,19 @@ class TestUnitroot:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "variable,rho,z,p_value"
         assert [l.split(",")[0] for l in lines[1:]] == ["liq", "cap"]
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_rescaling_keeps_the_bytes(self, tmp_path, k, capsys):
+        """Every cell of the bundled panel times 2**k: the same JSON, byte for byte."""
+        argv = ["--vars", "liq,cap,gdp,spread,lending,roe", "--format", "json"]
+        assert main(["unitroot", "--panel", BUNDLED_PANEL, *argv]) == 0
+        plain = capsys.readouterr()
+        ds = load_panel(BUNDLED_PANEL, [])
+        p = str(tmp_path / "scaled.csv")
+        write_panel(PanelDataset(ds.entities, ds.periods,
+                                 {n: np.ldexp(m, k) for n, m in ds.columns.items()}), p)
+        assert main(["unitroot", "--panel", p, *argv]) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestFit:
@@ -698,6 +711,25 @@ class TestStrictOutput:
         assert main(["simulate", *argv, "--format", fmt]) == 2
         assert capsys.readouterr() == (
             "", f"error: {message}; use a smaller shock or smaller coefficients\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_unrepresentable_ratio_exits_2(self, tmp_path, fmt, capsys):
+        """A ratio or check a double cannot hold is refused, in every format, before
+        anything is written: JSON would get Infinity or NaN, and a check would pass."""
+        sheets = tmp_path / "bs.csv"
+        big = WORKED_ROW.replace("2014,100,50,", "2014,1e308,1e308,")  # equity, debt
+        sheets.write_text(f"{BS_HEADER}\n{big}\n")
+        positions = tmp_path / "pos.csv"
+        positions.write_text("bank_id,year,cet1_ratio_pct,tier1_ratio_pct,total_car_pct,"
+                             "leverage_pct,lcr,nsfr\nB01,2019,8,7,13,4,1e307,1.1\n")
+        for argv, message in (
+            (["ratios", "--balance-sheets", str(sheets)],
+             "B01 2014: NSFR is outside the range of a double"),
+            (["phasein", "--positions", str(positions)],
+             "B01 2019: a compliance check is outside the range of a double"),
+        ):
+            assert main([*argv, "--format", fmt]) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
     def test_overflowing_cumulative_names_the_step(self, capsys):
         """Each yearly liquidity shock is finite; only their sum is not."""

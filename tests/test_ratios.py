@@ -229,6 +229,67 @@ class TestTceRwa:
             compute_tce_rwa(bs)
 
 
+class TestOutsideTheDouble:
+    """A ratio or check that a double cannot hold is a DataError naming the row,
+    whether an amount is an int beyond a double or a sum, product or quotient
+    of finite amounts overflows."""
+
+    @pytest.mark.parametrize("amounts", [
+        {"common_equity": 10**400, "govt_debt": 1.0},
+        {"common_equity": 1.0, "govt_debt": 10**400},
+        {"common_equity": 1e308, "debt_ge_1y": 1e308, "govt_debt": 1.0},  # ASF is inf
+        {"common_equity": 1.0, "retail_loans_lt_1y": 1e308,  # RSF is inf: 0.0 before
+         "other_assets_ex_cash_interbank": 1e308},
+        {"common_equity": 1e308, "debt_ge_1y": 1e308,  # inf / inf: nan before
+         "retail_loans_lt_1y": 1e308, "other_assets_ex_cash_interbank": 1e308},
+        {"common_equity": 1e308, "govt_debt": 1e-300},  # the quotient overflows
+    ], ids=["big-int-asf", "big-int-rsf", "inf-asf", "inf-rsf", "nan", "quotient"])
+    def test_nsfr(self, amounts):
+        with pytest.raises(DataError) as info:
+            compute_nsfr(BalanceSheetSnapshot("B", 2014, **amounts))
+        assert str(info.value) == "B 2014: NSFR is outside the range of a double"
+
+    def test_nsfr_of_large_finite_sums(self):
+        bs = BalanceSheetSnapshot("B", 2014, common_equity=1e308,
+                                  other_assets_ex_cash_interbank=1e308)
+        assert compute_nsfr(bs) == 1.0
+
+    @pytest.mark.parametrize("amounts", [
+        {"common_equity": 10**400, "rwa": 1.0},
+        {"common_equity": 1.0, "rwa": 10**400},
+        {"intangibles": 1e308, "goodwill": 1e308, "rwa": 1.0},  # TCE is -inf
+        {"common_equity": 1e308, "rwa": 1e-300},  # the quotient overflows
+    ], ids=["big-int-equity", "big-int-rwa", "inf-tce", "quotient"])
+    def test_tce_rwa(self, amounts, caplog):
+        with caplog.at_level(logging.WARNING, logger="baselcost.ratios"):
+            with pytest.raises(DataError) as info:
+                compute_tce_rwa(BalanceSheetSnapshot("B", 2014, **amounts))
+        assert str(info.value) == "B 2014: TCE/RWA is outside the range of a double"
+        assert caplog.records == []  # refused, not also logged as negative
+
+    def test_tce_rwa_of_big_ints_alone(self):
+        """Int arithmetic needs no double until the quotient, which fits."""
+        bs = BalanceSheetSnapshot("B", 2014, common_equity=10**400, intangibles=0, goodwill=0,
+                                  rwa=4 * 10**400)
+        assert compute_tce_rwa(bs) == 0.25
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CapitalPosition)][2:])
+    @pytest.mark.parametrize("value", [10**400, 1e307], ids=["big-int", "1e307"])
+    def test_compliance(self, field, value):
+        """1e307 is a double; only the lcr check (1e309 percent) is not."""
+        amounts = {"cet1_ratio_pct": 8.0, "tier1_ratio_pct": 7.0, "total_car_pct": 13.0,
+                   "leverage_pct": 4.0, "lcr": 1.2, "nsfr": 1.1, field: value}
+        report = check_compliance(CapitalPosition("B", 2019, **amounts))
+        if value == 1e307 and field != "lcr":
+            assert report.overall_pass and report.to_dict()["checks"]
+            return
+        for read in (lambda: report.checks, lambda: report.overall_pass, report.to_dict):
+            with pytest.raises(DataError) as info:
+                read()
+            assert str(info.value) == (
+                "B 2019: a compliance check is outside the range of a double")
+
+
 # Transitional arrangements, typed independently of the implementation;
 # cells in percent except the NSFR floor (a ratio).
 EXPECTED_SCHEDULE = {

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from baselcost import DataError, EstimationError, PanelDataset, harris_tzavalis
+from baselcost import (PAPER_PRESET, DataError, EstimationError, PanelDataset,
+                       harris_tzavalis, simulate_panel)
 from baselcost.unitroot import ht_moments, ht_statistic
 
 
@@ -110,6 +113,29 @@ class TestContracts:
         assert res.n_periods == 5
         assert res.to_dict()["case"] == "panel-specific means"
         assert 0.0 <= res.p_value <= 1.0
+
+
+class TestFloatRange:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 40), t=st.integers(3, 12),
+           column=st.sampled_from(["liq", "cap", "gdp", "spread", "lending", "roe"]),
+           k=st.integers(-1000, 1000))
+    def test_power_of_two_rescaling_moves_no_bit(self, seed, n, t, column, k):
+        """Exact while every nonzero cell stays a normal double; the unscaled
+        arithmetic overflowed from about |k| = 510 on unit-scale data."""
+        levels = simulate_panel(PAPER_PRESET, n, t, 1.0, seed).column(column)
+        assert np.abs(levels[levels != 0]).min() * 2.0**k >= np.finfo(float).tiny
+        assert ht_statistic(np.ldexp(levels, k)) == ht_statistic(levels)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_level(self, bad):
+        levels = np.random.default_rng(3).normal(0, 1, (4, 5)).cumsum(axis=1)
+        levels[1, 2] = bad
+        with pytest.raises(DataError, match="^levels contain infinite values$"):
+            ht_statistic(levels)
+        levels[0, 0] = np.nan  # a missing cell is named first
+        with pytest.raises(DataError, match="^levels contain missing values"):
+            ht_statistic(levels)
 
 
 class TestSamplingBehaviour:
