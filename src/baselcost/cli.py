@@ -52,14 +52,12 @@ def _render(args, payload, text: str, table=None) -> int:
         body = json.dumps(payload, indent=2, sort_keys=True)
     elif args.format == "text":
         body = text
-    elif table is not None:
+    else:
         import csv
         import io
         buf = io.StringIO()  # csv quotes a cell only where it must
         csv.writer(buf, lineterminator="\n").writerows([table[0], *table[1]])
         body = buf.getvalue().removesuffix("\n")
-    else:
-        raise DataError("this output has no flat table; use --format text or json")
     if args.out:
         with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body if body.endswith("\n") else body + "\n")
@@ -139,6 +137,8 @@ def cmd_phasein(args) -> int:
         return _render(args, payload, _table(*table), table)
 
     if args.positions is not None:
+        if args.format == "csv":
+            raise DataError("this output has no flat table; use --format text or json")
         reports = [check_compliance(p) for p in load_positions(args.positions)]
         blocks = []
         for r in reports:
@@ -180,10 +180,10 @@ def cmd_phasein(args) -> int:
 
 def cmd_unitroot(args) -> int:
     from .unitroot import CASE_LABEL, harris_tzavalis
-    ds = _read_panel(args)
     names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not names:
         raise DataError("no variables requested; pass --vars a,b,c")
+    ds = _read_panel(args)
     results = [harris_tzavalis(ds, name) for name in names]
     table = (
         ["variable", "rho", "z", "p_value"],
@@ -220,11 +220,14 @@ def cmd_fit(args) -> int:
         raise DataError("--no-fe is not allowed with --model all, which always fits fixed effects")
     if (args.dep or args.regressors) and args.model != "custom":
         raise DataError("--dep and --regressors need --model custom")
+    if args.model == "custom" and not (args.dep and args.regressors):
+        raise DataError("--model custom needs --dep and --regressors")
+    lags = _resolve_lags(args.dk_lags)
     ds = _read_panel(args, SYSTEM_COLUMNS if args.model != "custom" else ())
     small_sample = not args.plain_cov
 
     if args.model == "all":
-        system = fit_system(ds, small_sample=small_sample, **_resolve_lags(args.dk_lags))
+        system = fit_system(ds, small_sample=small_sample, **lags)
         if args.coeffs_out:
             with _writing(args.coeffs_out):
                 system.coefficients.to_json(args.coeffs_out)
@@ -237,15 +240,13 @@ def cmd_fit(args) -> int:
         return _render(args, payload, text)
 
     if args.model == "custom":
-        if not args.dep or not args.regressors:
-            raise DataError("--model custom needs --dep and --regressors")
         dep = args.dep
         regs = tuple(r.strip() for r in args.regressors.split(",") if r.strip())
     else:
         dep, regs = args.model, dict(EQUATIONS)[args.model]
 
     spec = RegressionSpec(dependent=dep, regressors=regs, fixed_effects=not args.no_fe,
-                          small_sample=small_sample, **_resolve_lags(args.dk_lags))
+                          small_sample=small_sample, **lags)
     fit = fit_within_dk(ds, spec)
     return _render(args, {"model": args.model, "fit": fit.to_dict()},
                    f"== {args.model}: {dep} ~ {' + '.join(regs)} ==\n{fit.summary()}")
@@ -281,15 +282,17 @@ def cmd_simulate(args) -> int:
         raise DataError("--phase-liq needs --phase-in")
     if not args.make_panel and (given := _given(args, ("banks", "years", "noise", "seed"))):
         raise DataError(f"only --make-panel takes {given}")
+    if args.make_panel and not args.out:
+        raise DataError("--make-panel needs --out PATH for the generated CSV")
+    if args.phase_in is not None:
+        frm, to = _parse_year_range(args.phase_in)
     for name, value in SIMULATE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    coeffs = resolve_coefficients(args.coeffs)
 
     if args.make_panel:
         from .panel import write_panel
-        if not args.out:
-            raise DataError("--make-panel needs --out PATH for the generated CSV")
-        coeffs = resolve_coefficients(args.coeffs)
         ds = simulate_panel(coeffs, args.banks, args.years, args.noise, args.seed)
         with _writing(args.out):
             write_panel(ds, args.out)
@@ -298,10 +301,7 @@ def cmd_simulate(args) -> int:
                   flush=True)
         return 0
 
-    coeffs = resolve_coefficients(args.coeffs)
-
     if args.phase_in is not None:
-        frm, to = _parse_year_range(args.phase_in)
         series = phase_in_scenario(coeffs, frm, to, delta_liq_per_year=args.phase_liq)
         results = [*series.steps, ("cumulative", series.cumulative)]
         fields = ("delta_spread", "delta_lending", "delta_roe")

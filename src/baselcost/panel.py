@@ -11,8 +11,8 @@ Input format is wide CSV, one row per (bank_id, year):
     B01,2010,12.5,1.02,0.091
     B01,2011,,1.05,0.094      <- empty cell = missing
 
-Variable transforms (logs), entity demeaning and `pow2_normalise`, the one
-float-range rule of both estimators, are provided as pure functions.
+Log transforms and, for both estimators, the one demeaning routine
+(`entity_demean`) and float-range rule (`pow2_normalise`) are pure functions.
 """
 
 from __future__ import annotations

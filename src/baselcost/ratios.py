@@ -18,6 +18,7 @@ conservation buffer phased in by 0.625 pp steps to 2.5% in 2019.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -39,7 +40,8 @@ def _check_record(record) -> None:
     """A bank-year record's `__post_init__`. The entity must be a non-empty str
     without surrounding whitespace and the year an int (a numpy int is stored
     as one); each float field must be a number, not a bool, and a finite,
-    non-negative amount, or a DataError states the class's `_amount_rule`."""
+    non-negative amount (a numpy one is stored as a float), or a DataError
+    states the class's `_amount_rule`."""
     entity, year = record.entity, record.year
     if not isinstance(entity, str) or not entity or entity != entity.strip():
         raise DataError(
@@ -60,6 +62,9 @@ def _check_record(record) -> None:
             raise DataError(f"{entity} {year}: {name} must be a number, got {v!r}")
         if not 0.0 <= v < math.inf:
             raise DataError(f"{entity} {year}: {record._amount_rule.format(name)}, got {v!r}")
+        if type(v) is not float and type(v) is not int:  # numpy scalars warn on overflow
+            with contextlib.suppress(OverflowError):  # a Fraction past a double stays one
+                object.__setattr__(record, name, float(v))
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,8 +4,8 @@ Fixed-T, large-N inference for the null of a unit root in every entity's
 series against the alternative that all series are stationary around
 entity-specific means. The test statistic is built on the least-squares
 dummy-variable estimator of the AR(1) coefficient: regress y_it on
-y_(i,t-1) over the usable window, demeaning regressand and regressor by
-their own entity means over that window, then
+y_(i,t-1) over the usable window, each less its entity's mean over that
+window by `panel.entity_demean`, the fit's demeaning routine too, then
 
     z = sqrt(N) * (rho_hat - 1 - mu) / sigma,
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError
-from .panel import PanelDataset, pow2_normalise
+from .panel import PanelDataset, entity_demean, pow2_normalise
 
 CASE_LABEL = "panel-specific means"
 
@@ -85,18 +85,17 @@ def ht_statistic(levels: np.ndarray) -> tuple[float, float, float]:
         raise DataError("levels contain missing values; balance the panel first"
                         if np.isnan(levels).any() else "levels contain infinite values")
     levels = pow2_normalise(levels)[0]
-
-    dep = levels[:, 1:]
-    reg = levels[:, :-1]
-    dep_dm = dep - dep.mean(axis=1, keepdims=True)
-    reg_dm = reg - reg.mean(axis=1, keepdims=True)
+    # one row per transition, coded by its entity, demeaned as the fit's rows are
+    codes, counts = np.repeat(np.arange(n_ent), n_per - 1), np.full(n_ent, n_per - 1)
+    dep_dm = entity_demean(levels[:, 1:].ravel(), codes, counts)
+    reg_dm = entity_demean(levels[:, :-1].ravel(), codes, counts)
     # fsum is exactly rounded, making the statistic invariant to entity order
-    denom = math.fsum((reg_dm * reg_dm).ravel().tolist())
+    denom = math.fsum((reg_dm * reg_dm).tolist())
     if denom <= 0.0:
         raise EstimationError(
             "degenerate variance: every lagged series equals its own mean"
         )
-    rho = math.fsum((reg_dm * dep_dm).ravel().tolist()) / denom
+    rho = math.fsum((reg_dm * dep_dm).tolist()) / denom
     mu, sigma = ht_moments(n_per - 1)
     z = float(np.sqrt(n_ent) * (rho - 1.0 - mu) / sigma)
     return rho, z, 0.5 * math.erfc(-z / math.sqrt(2.0))

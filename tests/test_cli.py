@@ -604,6 +604,24 @@ class TestRefusedFlags:
         assert "--make-panel needs --out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (["fit", "--panel", "{tmp}/nope.csv", "--model", "custom"],
+         "--model custom needs --dep and --regressors"),
+        (["fit", "--panel", "{tmp}/nope.csv", "--model", "all", "--dk-lags", "x"],
+         "--dk-lags must be 'auto' or an integer, got 'x'"),
+        (["unitroot", "--panel", "{tmp}/nope.csv", "--vars", ",,"],
+         "no variables requested; pass --vars a,b,c"),
+        (["phasein", "--positions", "{tmp}/nope.csv", "--format", "csv"],
+         "this output has no flat table; use --format text or json"),
+        (["simulate", "--coeffs", "{tmp}/nope.json", "--phase-in", "x"],
+         "expected FROM:TO years, got 'x'"),
+    ], ids=["fit-custom", "fit-dk-lags", "unitroot-vars", "phasein-csv", "simulate-phase-in"])
+    def test_flag_fault_is_refused_before_any_input_is_opened(self, tmp_path, argv, message,
+                                                               capsys):
+        """The named input does not exist; the flag fault is still the one reported."""
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
         (["--positions", "", "--format", "json"], "cannot open : "),
         (["--deltas", ""], "expected FROM:TO years, got ''"),
     ])
@@ -715,7 +733,8 @@ class TestStrictOutput:
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
     def test_unrepresentable_ratio_exits_2(self, tmp_path, fmt, capsys):
         """A ratio or check a double cannot hold is refused, in every format, before
-        anything is written: JSON would get Infinity or NaN, and a check would pass."""
+        anything is written: JSON would get Infinity or NaN, and a check would pass.
+        Checks have no csv form, and that flag fault is reported before the file is read."""
         sheets = tmp_path / "bs.csv"
         big = WORKED_ROW.replace("2014,100,50,", "2014,1e308,1e308,")  # equity, debt
         sheets.write_text(f"{BS_HEADER}\n{big}\n")
@@ -726,7 +745,8 @@ class TestStrictOutput:
             (["ratios", "--balance-sheets", str(sheets)],
              "B01 2014: NSFR is outside the range of a double"),
             (["phasein", "--positions", str(positions)],
-             "B01 2019: a compliance check is outside the range of a double"),
+             "this output has no flat table; use --format text or json" if fmt == "csv"
+             else "B01 2019: a compliance check is outside the range of a double"),
         ):
             assert main([*argv, "--format", fmt]) == 2, argv
             assert capsys.readouterr() == ("", f"error: {message}\n"), argv

@@ -289,6 +289,30 @@ class TestOutsideTheDouble:
             assert str(info.value) == (
                 "B 2019: a compliance check is outside the range of a double")
 
+    def test_numpy_position_stored_as_floats(self):
+        """numpy's scalar product would warn of the overflow before the DataError."""
+        pos = CapitalPosition("B", 2019, 8.0, 7.0, 13.0, 4.0, np.float64(1e307), 1.1)
+        assert type(pos.lcr) is float
+        with pytest.raises(DataError) as info:
+            check_compliance(pos).to_dict()
+        assert str(info.value) == "B 2019: a compliance check is outside the range of a double"
+
+    def test_numpy_sheet_stored_as_floats(self):
+        """numpy's scalar sum would warn of the overflow before the DataError."""
+        bs = BalanceSheetSnapshot("B", 2014, common_equity=np.float64(1e308),
+                                  debt_ge_1y=np.float64(1e308), govt_debt=1.0)
+        assert (type(bs.common_equity), type(bs.debt_ge_1y)) == (float, float)
+        with pytest.raises(DataError) as info:
+            compute_nsfr(bs)
+        assert str(info.value) == "B 2014: NSFR is outside the range of a double"
+
+    @pytest.mark.parametrize("value, kind", [
+        (np.float32(1.5), float), (np.int64(3), float), (Fraction(1, 2), float),
+        (Fraction(10**400), Fraction), (10**400, int), (7, int)], ids=repr)
+    def test_stored_amount_kind(self, value, kind):
+        """A Python int stays one; a Fraction past a double is kept as given."""
+        assert type(BalanceSheetSnapshot("B", 2014, rwa=value).rwa) is kind
+
 
 # Transitional arrangements, typed independently of the implementation;
 # cells in percent except the NSFR floor (a ratio).

@@ -57,6 +57,31 @@ class TestFrozenCase:
             assert p == pytest.approx(float(ndtr(got_z)), rel=1e-12, abs=0), z
 
 
+def rectangular_oracle(levels):
+    """The statistic from its rectangular windows, each row less its own mean."""
+    dep, reg = levels[:, 1:], levels[:, :-1]
+    dep_dm = dep - dep.mean(axis=1, keepdims=True)
+    reg_dm = reg - reg.mean(axis=1, keepdims=True)
+    rho = (math.fsum((reg_dm * dep_dm).ravel().tolist())
+           / math.fsum((reg_dm * reg_dm).ravel().tolist()))
+    mu, sigma = ht_moments(levels.shape[1] - 1)
+    z = math.sqrt(levels.shape[0]) * (rho - 1.0 - mu) / sigma
+    return rho, z, 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+class TestRectangularOracle:
+    @pytest.mark.parametrize("t", range(3, 41))
+    def test_flat_transition_rows_match_row_means(self, t):
+        """Both windows go through entity_demean as flat transition rows; the
+        sums may differ from the row means' pairwise sums in the last bits."""
+        for n, seed in ((22, 3), (300, 4)):
+            ds = simulate_panel(PAPER_PRESET, n, t, 0.05, seed)
+            for column in ("liq", "cap", "gdp", "spread", "lending", "roe"):
+                levels = ds.column(column)
+                got, want = ht_statistic(levels), rectangular_oracle(levels)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (n, column)
+
+
 class TestContracts:
     def test_deterministic_and_order_invariant(self):
         rng = np.random.default_rng(5)
