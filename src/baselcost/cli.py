@@ -12,8 +12,8 @@ Exit codes are a stable contract: 0 success, 2 input or configuration
 error or a failed write (missing directory, closed pipe, full disk, I/O
 error; named as stdout or the path), 3 estimation error. Output formats:
 aligned text (default), json (full precision, the same bytes for identical
-invocations at a fixed BLAS thread count), or csv where a flat table makes
-sense. No environment variables are read; flags only, for reproducibility.
+invocations at a fixed BLAS thread count and any PYTHONHASHSEED), or csv
+for flat tables. For reproducibility, flags only: no environment variables.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
+from ._checks import integer
 from .errors import DataError, EstimationError
 from .model import EQUATIONS, SYSTEM_COLUMNS
 
@@ -206,9 +207,10 @@ def _resolve_lags(value: str | None) -> dict:
     if value is None:
         return {}
     try:
-        return {"dk_bandwidth": value if value == "auto" else int(value)}
+        lags = value if value == "auto" else int(value)
     except ValueError:
         raise DataError(f"--dk-lags must be 'auto' or an integer, got {value!r}") from None
+    return {"dk_bandwidth": lags if lags == "auto" else integer("dk_bandwidth", lags, 0)}
 
 
 def cmd_fit(args) -> int:
@@ -269,6 +271,7 @@ def _given(args, names: Sequence[str]) -> str:
 def cmd_simulate(args) -> int:
     from .model import (ScenarioInput, phase_in_scenario, propagate_shock,
                         resolve_coefficients, simulate_panel)
+    from .ratios import required_deltas
     shock = ("dliq", "dcap", "mode", "dlgdp")
     if args.make_panel and (given := _given(args, (*shock, "phase_in"))):
         raise DataError(f"--make-panel runs no scenario and takes no {given}")
@@ -286,6 +289,7 @@ def cmd_simulate(args) -> int:
         raise DataError("--make-panel needs --out PATH for the generated CSV")
     if args.phase_in is not None:
         frm, to = _parse_year_range(args.phase_in)
+        required_deltas(frm, to)  # the window's own faults, before --coeffs is read
     for name, value in SIMULATE_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)

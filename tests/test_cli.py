@@ -299,8 +299,9 @@ class TestFit:
         assert [r.getMessage() for r in caplog.records] == (
             ["dropping 2 entities with fewer than 2 usable periods: ['A', 'B']"] if thin else [])
 
-    def test_near_collinear_design_exits_0(self, tmp_path):
+    def test_near_collinear_design_exits_0(self, tmp_path, capsys):
         # x1 = x0 + 1e-9 * noise passes the rank check, so every fit succeeds
+        # with every standard error finite and positive
         codes = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -311,10 +312,12 @@ class TestFit:
                               {"y": y, "x0": x0, "x1": x0 + 1e-9 * x1})
             p = tmp_path / f"near_{seed}.csv"
             write_panel(ds, str(p))
-            for pooled in ([], ["--no-fe"]):
+            for opts in ([], ["--plain-cov"], ["--no-fe"]):
                 codes.append(main(["fit", "--panel", str(p), "--model", "custom", "--dep", "y",
-                                   "--regressors", "x0,x1", *pooled]))
-        assert codes == [0] * 80
+                                   "--regressors", "x0,x1", *opts, "--format", "json"]))
+                se = [q["std_error"] for q in json.loads(capsys.readouterr().out)["fit"]["params"]]
+                assert all(s is not None and math.isfinite(s) and s > 0 for s in se), (seed, opts)
+        assert codes == [0] * 120
 
     def test_custom_needs_dep_and_regressors(self, panel_csv, capsys):
         assert main(["fit", "--panel", panel_csv, "--model", "custom"]) == 2
@@ -436,6 +439,54 @@ class TestFileOutput:
         main(["simulate", "--dliq", "1", "--format", "json", "--out", str(a)])
         main(["simulate", "--dliq", "1", "--format", "json", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def _under_hash_seeds(argv, cwd):
+    """stdout of `baselcost argv --format json` in fresh interpreters under
+    PYTHONHASHSEED 1 and 2."""
+    outs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "baselcost.cli", *argv, "--format", "json"],
+                              capture_output=True, cwd=cwd, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                   "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    return outs
+
+
+class TestHashSeed:
+    """The JSON bytes do not depend on the interpreter's string hashing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--panel", BUNDLED_PANEL, "--model", "all"],
+        ["fit", "--panel", BUNDLED_PANEL, "--model", "roe", "--no-fe"],
+        ["unitroot", "--panel", BUNDLED_PANEL, "--vars", "liq,cap,gdp,spread,lending,roe"],
+    ], ids=["fit-all", "fit-roe-pooled", "unitroot"])
+    def test_bundled_panel(self, argv):
+        first, second = _under_hash_seeds(argv, ROOT)
+        assert first == second
+
+    def test_unbalanced_fixed_effects_fit(self, tmp_path):
+        # 200 banks x 6 years with 10% of bank-years blank in every column
+        rng = np.random.default_rng(6)
+        n, t = 200, 6
+        a = rng.normal(0, 2, (n, 1))
+        x0, x1, e = rng.normal(size=(3, n, t))
+        blank = rng.random((n, t)) < 0.1
+        cols = {"y": a + 0.5 * x0 - 0.3 * x1 + 0.5 * e, "x0": x0, "x1": x1}
+        write_panel(PanelDataset(tuple(f"B{i:03d}" for i in range(n)),
+                                 tuple(range(2010, 2010 + t)),
+                                 {k: np.where(blank, np.nan, v) for k, v in cols.items()}),
+                    str(tmp_path / "unbalanced.csv"))
+        first, second = _under_hash_seeds(["fit", "--panel", "unbalanced.csv", "--model",
+                                           "custom", "--dep", "y", "--regressors", "x0,x1"],
+                                          tmp_path)
+        assert first == second
+        fit = json.loads(first)["fit"]
+        se = [p["std_error"] for p in fit["params"]]
+        assert fit["small_sample"] and fit["n_obs"] < 1200
+        assert all(s is not None and math.isfinite(s) and s > 0 for s in se), se
 
 
 class TestOutputWriteErrors:
@@ -584,6 +635,10 @@ class TestRefusedFlags:
          "--make-panel writes its CSV to --out and takes no --format csv"),
         (["--make-panel", "--seed", "-1", "--out", "{tmp}/p.csv"],
          "seed must be a non-negative integer, got -1"),
+        (["--make-panel", "--banks", "1", "--out", "{tmp}/p.csv"],
+         "n_banks must be an integer >= 2, got 1"),
+        (["--make-panel", "--years", "2", "--out", "{tmp}/p.csv"],
+         "n_years must be an integer >= 3, got 2"),
     ])
     def test_ignored_simulate_flags_exit_2(self, tmp_path, argv, message, capsys):
         assert main(["simulate", *(a.format(tmp=tmp_path) for a in argv)]) == 2
@@ -614,7 +669,14 @@ class TestRefusedFlags:
          "this output has no flat table; use --format text or json"),
         (["simulate", "--coeffs", "{tmp}/nope.json", "--phase-in", "x"],
          "expected FROM:TO years, got 'x'"),
-    ], ids=["fit-custom", "fit-dk-lags", "unitroot-vars", "phasein-csv", "simulate-phase-in"])
+        (["fit", "--panel", "{tmp}/nope.csv", "--model", "all", "--dk-lags", "-1"],
+         "dk_bandwidth must be a non-negative integer, got -1"),
+        (["simulate", "--coeffs", "{tmp}/nope.json", "--phase-in", "2019:2015"],
+         "FROM year 2019 is after TO year 2015"),
+        (["simulate", "--coeffs", "{tmp}/nope.json", "--phase-in", "2010:2012"],
+         "both years must lie in the schedule (2015-2019); got 2010, 2012"),
+    ], ids=["fit-custom", "fit-dk-lags", "unitroot-vars", "phasein-csv", "simulate-phase-in",
+            "fit-dk-lags-negative", "simulate-phase-in-reversed", "simulate-phase-in-outside"])
     def test_flag_fault_is_refused_before_any_input_is_opened(self, tmp_path, argv, message,
                                                                capsys):
         """The named input does not exist; the flag fault is still the one reported."""
@@ -676,6 +738,7 @@ class TestStrictOutput:
             ["fit", "--panel", flat, "--model", "custom", "--dep", "y", "--regressors", "x"],
             ["simulate", "--dliq", "1", "--dcap", "1"],
             ["simulate", "--mode", "exogenous", "--dlgdp", "-0.0"],
+            ["simulate", "--phase-in", "2015:2019"],
             ["simulate", "--phase-in", "2015:2019", "--phase-liq", "0.3"],
         ]
         for argv in runs:

@@ -366,6 +366,7 @@ class TestCovariance:
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(k=st.integers(-1100, 1100), fixed_effects=st.booleans())
+    @example(k=300, fixed_effects=True)  # well inside the exact range
     # where this panel moves from refused (all-zero x0, infinite variance) to
     # exact to refused (underflowing variance) to a dataset that holds an inf
     @example(k=-1077, fixed_effects=True)
